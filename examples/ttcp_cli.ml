@@ -34,6 +34,30 @@ let run mode_s profile_s wsize nbufs drops no_force trace timeline =
            (Cab_driver.iface tb.Testbed.a.Testbed.driver))
     else None
   in
+  (* --timeline: a 10 ms flight recorder over the receiving adaptor's
+     byte counter.  The first row is the pre-run baseline; the periodic
+     tick stops itself once nothing else is pending, so it never keeps
+     the simulation alive past the transfer. *)
+  let series =
+    if timeline then begin
+      let sim = tb.Testbed.sim in
+      let every = Simtime.ms 10. in
+      let s =
+        Obs_series.create ~capacity:512 ~interval:every
+          ~metrics:[ ("cab.hostB.cab", "rx_bytes") ]
+      in
+      Obs_series.tick s ~now:(Sim.now sim);
+      let handle = ref None in
+      let h =
+        Sim.periodic sim ~every (fun () ->
+            Obs_series.tick s ~now:(Sim.now sim);
+            if Sim.pending sim <= 1 then Option.iter (Sim.stop sim) !handle)
+      in
+      handle := Some h;
+      Some s
+    end
+    else None
+  in
   let r = Ttcp.run ~tb ~wsize ~total ~force_uio:(not no_force) () in
   (match cap with
   | Some cap ->
@@ -62,22 +86,30 @@ let run mode_s profile_s wsize nbufs drops no_force trace timeline =
   pr "receiver" r.Ttcp.receiver;
   Printf.printf "data verified: %b; retransmissions: %d\n" r.Ttcp.verified
     r.Ttcp.retransmits;
-  Printf.printf "write latency: p50 ~%s, p99 ~%s (histogram buckets)\n"
+  Printf.printf "write latency: p50 ~%s, p99 ~%s (log2 histogram)\n"
     (Format.asprintf "%a" Simtime.pp r.Ttcp.write_latency_p50)
     (Format.asprintf "%a" Simtime.pp r.Ttcp.write_latency_p99);
-  if timeline then begin
-    let rates = Stats.Timeseries.rates_mbit r.Ttcp.rx_timeline in
-    let labels =
-      List.mapi
-        (fun i _ -> if i mod 10 = 0 then Printf.sprintf "%d" (i * 10) else "")
-        rates
-    in
-    Ascii_plot.plot ~height:10
-      ~title:"receive throughput over time (ms, 10ms buckets)"
-      ~y_label:"Mb/s" ~x_labels:labels
-      ~series:[ ('#', "delivered to application", rates) ]
-      ()
-  end;
+  Option.iter
+    (fun s ->
+      (* Cumulative byte samples, newest first -> Mbit/s per 10 ms. *)
+      let samples = ref [] in
+      Obs_series.iter s (fun ~time:_ ~row -> samples := row.(0) :: !samples);
+      let rec deltas = function
+        | b :: (a :: _ as older) -> ((b -. a) *. 8. /. 10_000.) :: deltas older
+        | _ -> []
+      in
+      let rates = List.rev (deltas !samples) in
+      let labels =
+        List.mapi
+          (fun i _ -> if i mod 10 = 0 then Printf.sprintf "%d" (i * 10) else "")
+          rates
+      in
+      Ascii_plot.plot ~height:10
+        ~title:"receive throughput over time (ms, 10ms buckets)"
+        ~y_label:"Mb/s" ~x_labels:labels
+        ~series:[ ('#', "received by the receiver's CAB", rates) ]
+        ())
+    series;
   if r.Ttcp.retransmits > 0 then
     Printf.printf
       "  (retransmits found data outboard %d times -> header rewrite, no \

@@ -18,11 +18,12 @@ type result = {
   retransmits : int;
   write_latency_p50 : Simtime.t;
       (** median time a write call blocked the application (copy-semantics
-          completion) *)
+          completion), estimated by {!Obs.Histogram.quantile} (interpolated
+          within a log2 bucket); 0 when no write completed *)
   write_latency_p99 : Simtime.t;
-  rx_timeline : Stats.Timeseries.t;
-      (** bytes delivered to the receiving application per 10 ms bucket *)
   sender_tcp : Tcp.pcb_stats;
+      (** the connection's live counters (not a copy), final once [run]
+          returns; likewise the other three stats fields *)
   receiver_tcp : Tcp.pcb_stats;
   sender_socket : Socket.stats;
   receiver_socket : Socket.stats;

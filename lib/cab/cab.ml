@@ -16,19 +16,19 @@ type tx_src =
   | From_mbuf of { buf : Bytes.t; off : int; len : int }
 
 type stats = {
-  sdma_transfers : int;
-  sdma_bytes : int;
-  sdma_chains : int;
-  mdma_packets : int;
-  mdma_bytes : int;
-  rx_packets : int;
-  rx_bytes : int;
-  rx_dropped : int;
-  interrupts : int;
-  intr_events : int;
-  sdma_stalled : int;
-  intr_lost : int;
-  tx_recoveries : int;
+  mutable sdma_transfers : int;
+  mutable sdma_bytes : int;
+  mutable sdma_chains : int;
+  mutable mdma_packets : int;
+  mutable mdma_bytes : int;
+  mutable rx_packets : int;
+  mutable rx_bytes : int;
+  mutable rx_dropped : int;
+  mutable interrupts : int;
+  mutable intr_events : int;
+  mutable sdma_stalled : int;
+  mutable intr_lost : int;
+  mutable tx_recoveries : int;
 }
 
 type rx_pipe_stats = {
@@ -82,41 +82,28 @@ type t = {
       (* packet id -> injected-stall count: posts that were accepted but
          will never commit; the driver's watchdog reads this "status
          register" to distinguish stuck from slow *)
-  (* statistics *)
-  mutable sdma_transfers : int;
-  mutable sdma_bytes : int;
-  mutable sdma_chains : int;
-  mutable mdma_packets : int;
-  mutable mdma_bytes : int;
-  mutable rx_packets : int;
-  mutable rx_bytes : int;
-  mutable rx_dropped : int;
-  mutable interrupts : int;
-  mutable intr_events : int;
-  mutable sdma_stalled : int;
-  mutable intr_lost : int;
-  mutable tx_recoveries : int;
+  s : stats;  (* counters, bumped in place and returned live *)
 }
 
 (* Publish this adaptor's counters under ["cab.<name>"]; gauges read the
    live record, and re-creating an adaptor with the same name replaces the
    previous registration (the benchmarks build one testbed at a time). *)
 let register_obs t =
-  let section = "cab." ^ t.name in
+  let section = "cab." ^ t.name and s = t.s in
   let g name f = Obs.gauge ~section ~name (fun () -> float_of_int (f ())) in
-  g "sdma_transfers" (fun () -> t.sdma_transfers);
-  g "sdma_bytes" (fun () -> t.sdma_bytes);
-  g "sdma_chains" (fun () -> t.sdma_chains);
-  g "mdma_packets" (fun () -> t.mdma_packets);
-  g "mdma_bytes" (fun () -> t.mdma_bytes);
-  g "rx_packets" (fun () -> t.rx_packets);
-  g "rx_bytes" (fun () -> t.rx_bytes);
-  g "rx_dropped" (fun () -> t.rx_dropped);
-  g "interrupts" (fun () -> t.interrupts);
-  g "intr_events" (fun () -> t.intr_events);
-  g "sdma_stalled" (fun () -> t.sdma_stalled);
-  g "intr_lost" (fun () -> t.intr_lost);
-  g "tx_recoveries" (fun () -> t.tx_recoveries);
+  g "sdma_transfers" (fun () -> s.sdma_transfers);
+  g "sdma_bytes" (fun () -> s.sdma_bytes);
+  g "sdma_chains" (fun () -> s.sdma_chains);
+  g "mdma_packets" (fun () -> s.mdma_packets);
+  g "mdma_bytes" (fun () -> s.mdma_bytes);
+  g "rx_packets" (fun () -> s.rx_packets);
+  g "rx_bytes" (fun () -> s.rx_bytes);
+  g "rx_dropped" (fun () -> s.rx_dropped);
+  g "interrupts" (fun () -> s.interrupts);
+  g "intr_events" (fun () -> s.intr_events);
+  g "sdma_stalled" (fun () -> s.sdma_stalled);
+  g "intr_lost" (fun () -> s.intr_lost);
+  g "tx_recoveries" (fun () -> s.tx_recoveries);
   (* Rx pipeline: copy-out engine occupancy and its overlap with the
      auto-DMA/verify engine. *)
   g "rx_pipe_depth" (fun () -> t.rx_pipe_depth);
@@ -145,9 +132,9 @@ let deliver_intrs t =
   with
   | [] -> t.intr_scheduled <- false
   | evs ->
-      t.interrupts <- t.interrupts + 1;
+      t.s.interrupts <- t.s.interrupts + 1;
       let n_evs = List.length evs in
-      t.intr_events <- t.intr_events + n_evs;
+      t.s.intr_events <- t.s.intr_events + n_evs;
       Obs_trace.emit Obs_trace.Intr ~a:n_evs ~b:t.intr_budget;
       (match t.batch_handler with
       | Some f -> f evs
@@ -185,19 +172,22 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
     autodma_words = 176;
     mdma_waiting = Hashtbl.create 16;
     stalled = Hashtbl.create 8;
-    sdma_transfers = 0;
-    sdma_bytes = 0;
-    sdma_chains = 0;
-    mdma_packets = 0;
-    mdma_bytes = 0;
-    rx_packets = 0;
-    rx_bytes = 0;
-    rx_dropped = 0;
-    interrupts = 0;
-    intr_events = 0;
-    sdma_stalled = 0;
-    intr_lost = 0;
-    tx_recoveries = 0;
+    s =
+      {
+        sdma_transfers = 0;
+        sdma_bytes = 0;
+        sdma_chains = 0;
+        mdma_packets = 0;
+        mdma_bytes = 0;
+        rx_packets = 0;
+        rx_bytes = 0;
+        rx_dropped = 0;
+        interrupts = 0;
+        intr_events = 0;
+        sdma_stalled = 0;
+        intr_lost = 0;
+        tx_recoveries = 0;
+      };
   }
   in
   Sim.set_fn t.intr_timer (fun () -> deliver_intrs t);
@@ -245,7 +235,7 @@ let raise_intr t i =
          schedules its delivery.  The next raise (later traffic) or a
          watchdog [poll] drains it — [pop_ready] picks up everything that
          became ready at or before that instant. *)
-      t.intr_lost <- t.intr_lost + 1
+      t.s.intr_lost <- t.s.intr_lost + 1
     else begin
       t.intr_scheduled <- true;
       Sim.rearm t.sim t.intr_timer Simtime.zero
@@ -290,8 +280,8 @@ let do_mdma t (pkt : Netmem.packet) { dst; channel; keep } =
   let frame = Bufpool.get Bufpool.shared pkt.len in
   Bytes.blit pkt.buf 0 frame 0 pkt.len;
   Obs_ledger.touch Obs_ledger.Media Obs_ledger.Copy pkt.len;
-  t.mdma_packets <- t.mdma_packets + 1;
-  t.mdma_bytes <- t.mdma_bytes + pkt.len;
+  t.s.mdma_packets <- t.s.mdma_packets + 1;
+  t.s.mdma_bytes <- t.s.mdma_bytes + pkt.len;
   t.transmit frame ~dst ~channel;
   if keep then pkt.state <- Netmem.Held
   else begin
@@ -312,7 +302,7 @@ let sdma_finished t (pkt : Netmem.packet) =
    [sdma_pending] share, so a queued MDMA keeps waiting) but it will
    never occupy the bus, commit, or complete. *)
 let note_stall t (pkt : Netmem.packet) =
-  t.sdma_stalled <- t.sdma_stalled + 1;
+  t.s.sdma_stalled <- t.s.sdma_stalled + 1;
   Hashtbl.replace t.stalled pkt.Netmem.id
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.stalled pkt.Netmem.id))
 
@@ -331,7 +321,7 @@ let clear_stall t (pkt : Netmem.packet) =
       if n <= 1 then Hashtbl.remove t.stalled pkt.Netmem.id
       else Hashtbl.replace t.stalled pkt.Netmem.id (n - 1);
       pkt.sdma_pending <- pkt.sdma_pending - 1;
-      t.tx_recoveries <- t.tx_recoveries + 1
+      t.s.tx_recoveries <- t.s.tx_recoveries + 1
 
 (* Common SDMA machinery: occupy the TurboChannel, then apply [commit]
    (blit + checksum-engine update), then completion notifications.
@@ -345,8 +335,8 @@ let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~cookie
     Obs_trace.emit Obs_trace.Sdma_post ~a:bytes ~b:1;
     let duration = Memcost.bus_transfer t.profile bytes in
     Resource.acquire t.bus duration (fun () ->
-        t.sdma_transfers <- t.sdma_transfers + 1;
-        t.sdma_bytes <- t.sdma_bytes + bytes;
+        t.s.sdma_transfers <- t.s.sdma_transfers + 1;
+        t.s.sdma_bytes <- t.s.sdma_bytes + bytes;
         commit ();
         (match on_complete with Some f -> f () | None -> ());
         if interrupt then raise_intr t (Sdma_done cookie);
@@ -476,13 +466,13 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(cookie = 0)
         segs;
       let duration = Memcost.bus_transfer t.profile !total in
       pkt.sdma_pending <- pkt.sdma_pending + 1;
-      t.sdma_chains <- t.sdma_chains + 1;
+      t.s.sdma_chains <- t.s.sdma_chains + 1;
       if Fault.fire "cab.sdma_stall" then note_stall t pkt
       else begin
       Obs_trace.emit Obs_trace.Sdma_post ~a:!total ~b:(List.length segs);
       Resource.acquire t.bus duration (fun () ->
-          t.sdma_transfers <- t.sdma_transfers + List.length segs;
-          t.sdma_bytes <- t.sdma_bytes + !total;
+          t.s.sdma_transfers <- t.s.sdma_transfers + List.length segs;
+          t.s.sdma_bytes <- t.s.sdma_bytes + !total;
           List.iter
             (fun seg ->
               match seg with
@@ -540,11 +530,11 @@ let deliver t frame =
   let len = Bytes.length frame in
   match Netmem.alloc t.mem ~len ~state:Netmem.Receiving with
   | None ->
-      t.rx_dropped <- t.rx_dropped + 1;
+      t.s.rx_dropped <- t.s.rx_dropped + 1;
       Bufpool.put Bufpool.shared frame
   | Some pkt ->
-      t.rx_packets <- t.rx_packets + 1;
-      t.rx_bytes <- t.rx_bytes + len;
+      t.s.rx_packets <- t.s.rx_packets + 1;
+      t.s.rx_bytes <- t.s.rx_bytes + len;
       (* The receive checksum engine ran while the data streamed off the
          media (§2.1): the sum is ready with the packet.  One fused pass
          copies the frame into network memory and produces the sum. *)
@@ -643,8 +633,8 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(cookie = 0)
       Obs_trace.emit Obs_trace.Rx_copyout ~a:len ~b:t.copyout_inflight;
       let duration = Memcost.bus_transfer t.profile len in
       Resource.acquire t.copyout duration (fun () ->
-          t.sdma_transfers <- t.sdma_transfers + 1;
-          t.sdma_bytes <- t.sdma_bytes + len;
+          t.s.sdma_transfers <- t.s.sdma_transfers + 1;
+          t.s.sdma_bytes <- t.s.sdma_bytes + len;
           (* Concurrency witness: the verify engine is mid-transfer on a
              later packet at the instant this copy-out completes. *)
           if Resource.busy t.rx_dma then
@@ -671,22 +661,7 @@ let rx_free t pkt = Netmem.free t.mem pkt
 
 (* ---- statistics ---- *)
 
-let stats t =
-  {
-    sdma_transfers = t.sdma_transfers;
-    sdma_bytes = t.sdma_bytes;
-    sdma_chains = t.sdma_chains;
-    mdma_packets = t.mdma_packets;
-    mdma_bytes = t.mdma_bytes;
-    rx_packets = t.rx_packets;
-    rx_bytes = t.rx_bytes;
-    rx_dropped = t.rx_dropped;
-    interrupts = t.interrupts;
-    intr_events = t.intr_events;
-    sdma_stalled = t.sdma_stalled;
-    intr_lost = t.intr_lost;
-    tx_recoveries = t.tx_recoveries;
-  }
+let stats t = t.s
 
 let bus_busy_time t = Resource.busy_time t.bus
 let rx_dma_busy_time t = Resource.busy_time t.rx_dma

@@ -257,23 +257,27 @@ val poll : t -> int
 
 (** {1 Statistics} *)
 
-type stats = {
-  sdma_transfers : int;  (** individual segments moved (chains count each) *)
-  sdma_bytes : int;
-  sdma_chains : int;  (** chained posts ({!sdma_chain} doorbells) *)
-  mdma_packets : int;
-  mdma_bytes : int;
-  rx_packets : int;
-  rx_bytes : int;
-  rx_dropped : int;  (** network memory exhausted *)
-  interrupts : int;  (** delivery bursts (handler invocations) *)
-  intr_events : int;  (** individual notifications across all bursts *)
-  sdma_stalled : int;  (** injected stuck descriptors *)
-  intr_lost : int;  (** injected lost interrupts *)
-  tx_recoveries : int;  (** {!clear_stall} reclaims *)
+type stats = private {
+  mutable sdma_transfers : int;
+      (** individual segments moved (chains count each) *)
+  mutable sdma_bytes : int;
+  mutable sdma_chains : int;  (** chained posts ({!sdma_chain} doorbells) *)
+  mutable mdma_packets : int;
+  mutable mdma_bytes : int;
+  mutable rx_packets : int;
+  mutable rx_bytes : int;
+  mutable rx_dropped : int;  (** network memory exhausted *)
+  mutable interrupts : int;  (** delivery bursts (handler invocations) *)
+  mutable intr_events : int;  (** individual notifications across all bursts *)
+  mutable sdma_stalled : int;  (** injected stuck descriptors *)
+  mutable intr_lost : int;  (** injected lost interrupts *)
+  mutable tx_recoveries : int;  (** {!clear_stall} reclaims *)
 }
 
 val stats : t -> stats
+(** The live counters, bumped in place as the adaptor runs — not a copy;
+    read a field again to see later traffic. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val bus_busy_time : t -> Simtime.t

@@ -39,12 +39,16 @@ let run_one ~mode ~reads =
         Measurement.of_cpu ~cpu:b_host.Host.cpu ~elapsed
           ~bytes:(reads * Blockfile.block_size)
       in
+      let latency q =
+        Option.fold ~none:0 ~some:int_of_float
+          (Obs.Histogram.quantile client.Blockfile.latencies q)
+      in
       {
         mode = Stack_mode.to_string mode;
         reads_per_s =
           float_of_int reads /. Simtime.to_s elapsed;
-        latency_p50 = Stats.Histogram.percentile client.Blockfile.latencies 50.;
-        latency_p99 = Stats.Histogram.percentile client.Blockfile.latencies 99.;
+        latency_p50 = latency 0.5;
+        latency_p99 = latency 0.99;
         server_util = m.Measurement.utilization;
       }
   | _ -> failwith "Exp_rpc: client never finished"
@@ -59,8 +63,8 @@ let print rows =
   Tabulate.print_header
     "Block-read RPC: 32K blocks served by an in-kernel file service";
   Printf.printf
-    "  one outstanding request; latency percentiles are power-of-two\n\
-    \  histogram buckets\n";
+    "  one outstanding request; latency percentiles are interpolated\n\
+    \  within log2 histogram buckets\n";
   let widths = [ 14; 10; 12; 12; 10 ] in
   Tabulate.print_row ~widths
     [ "stack"; "reads/s"; "lat p50"; "lat p99"; "srv util" ];

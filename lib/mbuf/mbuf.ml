@@ -90,12 +90,12 @@ module Pool = struct
   let hwm_live = ref 0
   let hwm_cl = ref 0
 
-  (* Surfaced through the engine's stats counters so harnesses and the
-     macro benchmark can read pool behaviour uniformly. *)
-  let allocs = Stats.Counter.create ()
-  let hits = Stats.Counter.create ()
-  let misses = Stats.Counter.create ()
-  let recycled = Stats.Counter.create ()
+  (* Registry counters (section "mbuf_pool"), bumped in place. *)
+  let counter name = Obs.counter ~section:"mbuf_pool" ~name
+  let allocs = counter "allocs"
+  let hits = counter "hits"
+  let misses = counter "misses"
+  let recycled = counter "recycled"
 
   (* Free-lists as preallocated stacks: [put]/[get] in steady state touch
      one array slot and a counter — no list cons, nothing for the GC.
@@ -124,14 +124,12 @@ module Pool = struct
   let n_shard_small = ref ([||] : int array)
   let shard_cluster = ref ([||] : cell array array)
   let n_shard_cluster = ref ([||] : int array)
-  let spills = Stats.Counter.create ()
-  let refills = Stats.Counter.create ()
+  let spills = counter "spills"
+  let refills = counter "refills"
 
   let sum_counts a = Array.fold_left ( + ) 0 !a
   let free_small_local () = sum_counts n_shard_small
   let free_clusters_local () = sum_counts n_shard_cluster
-  let spill_count () = Stats.Counter.get spills
-  let refill_count () = Stats.Counter.get refills
   let shard_count () = !shard_count_ref
 
   let spill_locals () =
@@ -182,17 +180,16 @@ module Pool = struct
 
   let allocated () = !live
   let clusters () = !live_clusters
-  let total_allocs () = Stats.Counter.get allocs
-  let hit_count () = Stats.Counter.get hits
-  let miss_count () = Stats.Counter.get misses
-  let recycled_count () = Stats.Counter.get recycled
+  let total_allocs () = Obs.Counter.get allocs
+  let hit_count () = Obs.Counter.get hits
+  let miss_count () = Obs.Counter.get misses
   let free_small () = !nsmall
   let free_clusters () = !nclusters
   let hwm () = !hwm_live
   let hwm_clusters () = !hwm_cl
 
   let hit_rate () =
-    let h = Stats.Counter.get hits and m = Stats.Counter.get misses in
+    let h = Obs.Counter.get hits and m = Obs.Counter.get misses in
     if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
 
   let reset () =
@@ -200,12 +197,12 @@ module Pool = struct
     live_clusters := 0;
     hwm_live := 0;
     hwm_cl := 0;
-    Stats.Counter.reset allocs;
-    Stats.Counter.reset hits;
-    Stats.Counter.reset misses;
-    Stats.Counter.reset recycled;
-    Stats.Counter.reset spills;
-    Stats.Counter.reset refills
+    Obs.Counter.reset allocs;
+    Obs.Counter.reset hits;
+    Obs.Counter.reset misses;
+    Obs.Counter.reset recycled;
+    Obs.Counter.reset spills;
+    Obs.Counter.reset refills
 
   let trim () =
     let bytes =
@@ -245,7 +242,7 @@ module Pool = struct
       ns.(!cur) <- ns.(!cur) - 1;
       let c = st.(ns.(!cur)) in
       st.(ns.(!cur)) <- dummy;
-      Stats.Counter.incr hits;
+      Obs.Counter.incr hits;
       c.refs <- 1;
       c
     end
@@ -253,14 +250,14 @@ module Pool = struct
       decr nsmall;
       let c = small_stack.(!nsmall) in
       small_stack.(!nsmall) <- dummy;
-      Stats.Counter.incr hits;
-      if !shard_count_ref > 1 then Stats.Counter.incr refills;
+      Obs.Counter.incr hits;
+      if !shard_count_ref > 1 then Obs.Counter.incr refills;
       c.refs <- 1;
       c
     end
     else begin
-      Stats.Counter.incr misses;
-      Stats.Counter.incr allocs;
+      Obs.Counter.incr misses;
+      Obs.Counter.incr allocs;
       { cbuf = Bytes.create msize; refs = 1 }
     end
 
@@ -270,7 +267,7 @@ module Pool = struct
       ns.(!cur) <- ns.(!cur) - 1;
       let c = st.(ns.(!cur)) in
       st.(ns.(!cur)) <- dummy;
-      Stats.Counter.incr hits;
+      Obs.Counter.incr hits;
       c.refs <- 1;
       c
     end
@@ -278,14 +275,14 @@ module Pool = struct
       decr nclusters;
       let c = cluster_stack.(!nclusters) in
       cluster_stack.(!nclusters) <- dummy;
-      Stats.Counter.incr hits;
-      if !shard_count_ref > 1 then Stats.Counter.incr refills;
+      Obs.Counter.incr hits;
+      if !shard_count_ref > 1 then Obs.Counter.incr refills;
       c.refs <- 1;
       c
     end
     else begin
-      Stats.Counter.incr misses;
-      Stats.Counter.incr allocs;
+      Obs.Counter.incr misses;
+      Obs.Counter.incr allocs;
       { cbuf = Bytes.create mclbytes; refs = 1 }
     end
 
@@ -297,13 +294,13 @@ module Pool = struct
         if ns.(!cur) < shard_small_cap then begin
           !shard_small.(!cur).(ns.(!cur)) <- c;
           ns.(!cur) <- ns.(!cur) + 1;
-          Stats.Counter.incr recycled
+          Obs.Counter.incr recycled
         end
         else if !nsmall < max_small then begin
           small_stack.(!nsmall) <- c;
           incr nsmall;
-          Stats.Counter.incr recycled;
-          Stats.Counter.incr spills
+          Obs.Counter.incr recycled;
+          Obs.Counter.incr spills
         end
       end
       else if n = mclbytes then begin
@@ -311,25 +308,25 @@ module Pool = struct
         if ns.(!cur) < shard_cluster_cap then begin
           !shard_cluster.(!cur).(ns.(!cur)) <- c;
           ns.(!cur) <- ns.(!cur) + 1;
-          Stats.Counter.incr recycled
+          Obs.Counter.incr recycled
         end
         else if !nclusters < max_clusters then begin
           cluster_stack.(!nclusters) <- c;
           incr nclusters;
-          Stats.Counter.incr recycled;
-          Stats.Counter.incr spills
+          Obs.Counter.incr recycled;
+          Obs.Counter.incr spills
         end
       end
     end
     else if n = msize && !nsmall < max_small then begin
       small_stack.(!nsmall) <- c;
       incr nsmall;
-      Stats.Counter.incr recycled
+      Obs.Counter.incr recycled
     end
     else if n = mclbytes && !nclusters < max_clusters then begin
       cluster_stack.(!nclusters) <- c;
       incr nclusters;
-      Stats.Counter.incr recycled
+      Obs.Counter.incr recycled
     end
 end
 
@@ -931,8 +928,8 @@ let pp fmt m =
     | Some h -> Printf.sprintf " pkt=%d" h.pkt_len
     | None -> "")
 
-(* Publish pool statistics in the central registry (module init: the pool
-   is a process-global, so plain registration is enough). *)
+(* Publish the pool's occupancy gauges next to its counters (module init:
+   the pool is a process-global, so plain registration is enough). *)
 let () =
   let s = "mbuf_pool" in
   let fi f () = float_of_int (f ()) in
@@ -940,15 +937,9 @@ let () =
   Obs.gauge ~section:s ~name:"live_clusters" (fi Pool.clusters);
   Obs.gauge ~section:s ~name:"hwm" (fi Pool.hwm);
   Obs.gauge ~section:s ~name:"hwm_clusters" (fi Pool.hwm_clusters);
-  Obs.gauge ~section:s ~name:"allocs" (fi Pool.total_allocs);
-  Obs.gauge ~section:s ~name:"hits" (fi Pool.hit_count);
-  Obs.gauge ~section:s ~name:"misses" (fi Pool.miss_count);
-  Obs.gauge ~section:s ~name:"recycled" (fi Pool.recycled_count);
   Obs.gauge ~section:s ~name:"hit_rate" Pool.hit_rate;
   Obs.gauge ~section:s ~name:"free_small" (fi Pool.free_small);
   Obs.gauge ~section:s ~name:"free_clusters" (fi Pool.free_clusters);
   Obs.gauge ~section:s ~name:"free_small_local" (fi Pool.free_small_local);
   Obs.gauge ~section:s ~name:"free_clusters_local"
-    (fi Pool.free_clusters_local);
-  Obs.gauge ~section:s ~name:"spills" (fi Pool.spill_count);
-  Obs.gauge ~section:s ~name:"refills" (fi Pool.refill_count)
+    (fi Pool.free_clusters_local)

@@ -264,9 +264,6 @@ module Pool : sig
 
   val hit_count : unit -> int
   val miss_count : unit -> int
-  val recycled_count : unit -> int
-  (** Buffers returned to a free list (drops of odd sizes excluded). *)
-
   val hit_rate : unit -> float
   (** hits / (hits + misses), 0 when no requests yet. *)
 
@@ -291,12 +288,6 @@ module Pool : sig
   val free_small_local : unit -> int
   val free_clusters_local : unit -> int
   (** Buffers parked across all per-shard free lists. *)
-
-  val spill_count : unit -> int
-  (** Puts that overflowed a shard's local list into the global pool. *)
-
-  val refill_count : unit -> int
-  (** Gets that missed the local list and hit the global pool. *)
 
   val hwm : unit -> int
   val hwm_clusters : unit -> int

@@ -3,8 +3,8 @@ type klass = { mutable bufs : Bytes.t list; mutable depth : int }
 type t = {
   classes : (int, klass) Hashtbl.t;
   max_per_class : int;
-  hits : Stats.Counter.t;
-  misses : Stats.Counter.t;
+  hits : Obs.Counter.t;
+  misses : Obs.Counter.t;
   mutable free_total : int;
   mutable outstanding : int;  (* gets minus puts: buffers in flight *)
   (* Per-shard free lists, active only when [set_shard_count n] with
@@ -22,8 +22,8 @@ let create ?(max_per_class = 64) () =
   {
     classes = Hashtbl.create 8;
     max_per_class;
-    hits = Stats.Counter.create ();
-    misses = Stats.Counter.create ();
+    hits = Obs.Counter.create ();
+    misses = Obs.Counter.create ();
     free_total = 0;
     outstanding = 0;
     locals = [||];
@@ -56,15 +56,15 @@ let get t n =
   in
   match local with
   | Some b ->
-      Stats.Counter.incr t.hits;
+      Obs.Counter.incr t.hits;
       b
   | None -> (
       match global_get t n with
       | Some b ->
-          Stats.Counter.incr t.hits;
+          Obs.Counter.incr t.hits;
           b
       | None ->
-          Stats.Counter.incr t.misses;
+          Obs.Counter.incr t.misses;
           Bytes.create n)
 
 let global_put t b n =
@@ -139,8 +139,8 @@ let trim t =
   t.local_free <- 0;
   released
 
-let hit_count t = Stats.Counter.get t.hits
-let miss_count t = Stats.Counter.get t.misses
+let hit_count t = Obs.Counter.get t.hits
+let miss_count t = Obs.Counter.get t.misses
 
 let hit_rate t =
   let h = hit_count t and m = miss_count t in
@@ -151,17 +151,16 @@ let local_free_bytes t = t.local_free
 let outstanding t = t.outstanding
 
 let reset_stats t =
-  Stats.Counter.reset t.hits;
-  Stats.Counter.reset t.misses
+  Obs.Counter.reset t.hits;
+  Obs.Counter.reset t.misses
 
 let shared = create ()
 
 (* The shared instance is the one the datapath uses; publish it. *)
 let () =
   let s = "bufpool" in
-  Obs.gauge ~section:s ~name:"hits" (fun () -> float_of_int (hit_count shared));
-  Obs.gauge ~section:s ~name:"misses" (fun () ->
-      float_of_int (miss_count shared));
+  Obs.register ~section:s ~name:"hits" (Obs.M_counter shared.hits);
+  Obs.register ~section:s ~name:"misses" (Obs.M_counter shared.misses);
   Obs.gauge ~section:s ~name:"hit_rate" (fun () -> hit_rate shared);
   Obs.gauge ~section:s ~name:"free_bytes" (fun () ->
       float_of_int (free_bytes shared));

@@ -164,12 +164,3 @@ let to_json ?sections:(only = []) () =
     (sections ());
   Buffer.add_string buf "\n}";
   Buffer.contents buf
-
-let reset () =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | M_counter c -> Counter.reset c
-      | M_histogram h -> Histogram.reset h
-      | M_gauge _ | M_table _ -> ())
-    tbl

@@ -92,7 +92,3 @@ val to_json : ?sections:string list -> unit -> string
     empty buckets elided, tables as their verbatim JSON fragment.
     Sections and names are emitted in sorted order, so the output is
     independent of registration order. *)
-
-val reset : unit -> unit
-(** Reset every registered counter and histogram (gauges and tables read
-    live state and are unaffected). *)

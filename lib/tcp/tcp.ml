@@ -66,24 +66,24 @@ let default_config =
   }
 
 type pcb_stats = {
-  segs_sent : int;
-  segs_rcvd : int;
-  bytes_sent : int;
-  bytes_rcvd : int;
-  acks_rcvd : int;
-  dup_acks : int;
-  retransmits : int;
-  rto_fires : int;
-  fast_retransmits : int;
-  csum_offloaded_tx : int;
-  csum_host_tx : int;
-  csum_hw_verified_rx : int;
-  csum_host_verified_rx : int;
-  csum_failures_rx : int;
-  wcab_converted : int;
-  wcab_retransmit_hits : int;
-  dropped_wcab_legacy : int;
-  descriptor_merges : int;
+  mutable segs_sent : int;
+  mutable segs_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable acks_rcvd : int;
+  mutable dup_acks : int;
+  mutable retransmits : int;
+  mutable rto_fires : int;
+  mutable fast_retransmits : int;
+  mutable csum_offloaded_tx : int;
+  mutable csum_host_tx : int;
+  mutable csum_hw_verified_rx : int;
+  mutable csum_host_verified_rx : int;
+  mutable csum_failures_rx : int;
+  mutable wcab_converted : int;
+  mutable wcab_retransmit_hits : int;
+  mutable dropped_wcab_legacy : int;
+  mutable descriptor_merges : int;
 }
 
 (* Process-wide recovery aggregates: pcbs come and go, but the soak
@@ -101,7 +101,13 @@ let agg_csum_failures_rx =
    the listener makes — queued, promoted, shed, cookied, reaped — is
    published process-globally, so the overload benches and the gate
    assert on evidence (sheds and cookies actually happened) rather than
-   on throughput alone. *)
+   on throughput alone.
+
+   Identity: syn_rcvd = syn_queued + syn_dup + cookies_sent
+   + shed_pressure + shed_accept + shed_penalty + syn_drop_full
+   + flood_injected.  Each [syn_arrived] path bumps exactly one of the
+   first seven; each forged SYN ([inject_forged_syns]) bumps
+   syn_drop_full or flood_injected. *)
 let conn_syn_rcvd = Obs.counter ~section:"conn" ~name:"syn_rcvd"
 let conn_syn_queued = Obs.counter ~section:"conn" ~name:"syn_queued"
 let conn_syn_dup = Obs.counter ~section:"conn" ~name:"syn_dup"
@@ -137,7 +143,9 @@ let conn_keepalive_drops =
 let conn_listen_drained = Obs.counter ~section:"conn" ~name:"listen_drained"
 let conn_port_lookups = Obs.counter ~section:"conn" ~name:"port_lookups"
 
-let zero_stats =
+(* Each pcb owns its record: a shared constant would alias every pcb's
+   counters once they are bumped in place. *)
+let fresh_stats () =
   {
     segs_sent = 0;
     segs_rcvd = 0;
@@ -246,7 +254,7 @@ type pcb = {
   mutable on_sendable : unit -> unit;
   mutable on_established : unit -> unit;
   mutable on_closed : unit -> unit;
-  mutable stats : pcb_stats;
+  stats : pcb_stats;
 }
 
 and t = {
@@ -440,8 +448,7 @@ let checksum_plan pcb ~iface ~hdr_len ~(payload : Mbuf.t option) ~seg_len =
     && (payload <> None || payload_has_wcab)
   in
   if offload then begin
-    pcb.stats <-
-      { pcb.stats with csum_offloaded_tx = pcb.stats.csum_offloaded_tx + 1 };
+    pcb.stats.csum_offloaded_tx <- pcb.stats.csum_offloaded_tx + 1;
     let record =
       Csum_offload.make_tx ~csum_offset:Tcp_header.csum_field_offset
         ~skip_bytes:0 ~seed:pseudo
@@ -455,7 +462,7 @@ let checksum_plan pcb ~iface ~hdr_len ~(payload : Mbuf.t option) ~seg_len =
        the stack cannot transmit this segment (§6 note). *)
     `Unsendable
   else begin
-    pcb.stats <- { pcb.stats with csum_host_tx = pcb.stats.csum_host_tx + 1 };
+    pcb.stats.csum_host_tx <- pcb.stats.csum_host_tx + 1;
     let payload_sum, payload_len =
       match payload with
       | None -> (Inet_csum.zero, 0)
@@ -530,11 +537,7 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
       (match checksum_plan pcb ~iface ~hdr_len ~payload ~seg_len with
       | `Unsendable ->
           (match payload with Some p -> Mbuf.free p | None -> ());
-          pcb.stats <-
-            {
-              pcb.stats with
-              dropped_wcab_legacy = pcb.stats.dropped_wcab_legacy + 1;
-            };
+          pcb.stats.dropped_wcab_legacy <- pcb.stats.dropped_wcab_legacy + 1;
           Error "outboard data on legacy path"
       | `Offload (field, record) ->
           Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
@@ -557,12 +560,8 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
       |> function
       | Error _ as e -> e
       | Ok (seg, payload_len, csum_cost) ->
-          pcb.stats <-
-            {
-              pcb.stats with
-              segs_sent = pcb.stats.segs_sent + 1;
-              bytes_sent = pcb.stats.bytes_sent + payload_len;
-            };
+          pcb.stats.segs_sent <- pcb.stats.segs_sent + 1;
+          pcb.stats.bytes_sent <- pcb.stats.bytes_sent + payload_len;
           pcb.rcv_adv <- Tcp_seq.add pcb.rcv_nxt (rcv_space pcb);
           pcb.ack_pending <- false;
           pcb.need_ack_now <- false;
@@ -659,12 +658,8 @@ and rto_fire pcb =
         to_closed pcb
       end
       else begin
-      pcb.stats <-
-        {
-          pcb.stats with
-          rto_fires = pcb.stats.rto_fires + 1;
-          retransmits = pcb.stats.retransmits + 1;
-        };
+      pcb.stats.rto_fires <- pcb.stats.rto_fires + 1;
+      pcb.stats.retransmits <- pcb.stats.retransmits + 1;
       Obs.Counter.incr agg_rto_fires;
       Obs.Counter.incr agg_retransmits;
       (* Back off, rewind, and resend (go-back-N; Karn: discard timing). *)
@@ -789,15 +784,10 @@ and transmit_plan pcb plan =
       Obs_trace.emit Obs_trace.Packetize ~a:(seq : Tcp_seq.t :> int) ~b:len;
       let retransmit = Tcp_seq.lt seq pcb.snd_max in
       if retransmit then begin
-        pcb.stats <-
-          { pcb.stats with retransmits = pcb.stats.retransmits + 1 };
+        pcb.stats.retransmits <- pcb.stats.retransmits + 1;
         Obs.Counter.incr agg_retransmits;
         if List.mem Mbuf.K_wcab (Mbuf.chain_kinds payload) then
-          pcb.stats <-
-            {
-              pcb.stats with
-              wcab_retransmit_hits = pcb.stats.wcab_retransmit_hits + 1;
-            }
+          pcb.stats.wcab_retransmit_hits <- pcb.stats.wcab_retransmit_hits + 1
       end;
       (* Arrange the M_UIO -> M_WCAB swap once the driver has the data
          outboard (§4.2). *)
@@ -815,11 +805,7 @@ and transmit_plan pcb plan =
                   if not already_wcab then begin
                     let wm = Mbuf.make_wcab ~desc ~len ~hdr:None in
                     Tcp_sendq.replace pcb.sendq ~off:qoff ~len wm;
-                    pcb.stats <-
-                      {
-                        pcb.stats with
-                        wcab_converted = pcb.stats.wcab_converted + 1;
-                      }
+                    pcb.stats.wcab_converted <- pcb.stats.wcab_converted + 1
                   end
                   else desc.Mbuf.wcab_free ()
                 end
@@ -960,18 +946,12 @@ let verify_checksum pcb seg =
       in
       Obs_trace.emit Obs_trace.Rx_adjust ~a:seg_len ~b:skipped_len;
       let ok = Csum_offload.rx_verify rx ~skipped ~pseudo in
-      pcb.stats <-
-        (if ok then
-           {
-             pcb.stats with
-             csum_hw_verified_rx = pcb.stats.csum_hw_verified_rx + 1;
-           }
-         else
-           {
-             pcb.stats with
-             csum_failures_rx = pcb.stats.csum_failures_rx + 1;
-           });
-      if not ok then Obs.Counter.incr agg_csum_failures_rx;
+      let s = pcb.stats in
+      if ok then s.csum_hw_verified_rx <- s.csum_hw_verified_rx + 1
+      else begin
+        s.csum_failures_rx <- s.csum_failures_rx + 1;
+        Obs.Counter.incr agg_csum_failures_rx
+      end;
       (ok, 0)
   | Some _ | None ->
       Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum seg_len;
@@ -982,18 +962,12 @@ let verify_checksum pcb seg =
           ~locality:(Memcost.Working_set pcb.ws_hint_rx)
           seg_len
       in
-      pcb.stats <-
-        (if ok then
-           {
-             pcb.stats with
-             csum_host_verified_rx = pcb.stats.csum_host_verified_rx + 1;
-           }
-         else
-           {
-             pcb.stats with
-             csum_failures_rx = pcb.stats.csum_failures_rx + 1;
-           });
-      if not ok then Obs.Counter.incr agg_csum_failures_rx;
+      let s = pcb.stats in
+      if ok then s.csum_host_verified_rx <- s.csum_host_verified_rx + 1
+      else begin
+        s.csum_failures_rx <- s.csum_failures_rx + 1;
+        Obs.Counter.incr agg_csum_failures_rx
+      end;
       (ok, cost)
 
 (* Checksum verification for a segment with no pcb yet (a listener's
@@ -1102,11 +1076,9 @@ let keep_fire pcb =
 (* ---------- input processing ---------- *)
 
 let deliver_data pcb chain len =
-  Tracelog.debugf pcb.tcp.hst.Host.sim "tcp" "deliver len=%d rcvq=%d" len
-    pcb.rcvq_len;
   pcb.rcvq <- pcb.rcvq @ [ chain ];
   pcb.rcvq_len <- pcb.rcvq_len + len;
-  pcb.stats <- { pcb.stats with bytes_rcvd = pcb.stats.bytes_rcvd + len }
+  pcb.stats.bytes_rcvd <- pcb.stats.bytes_rcvd + len
 
 let process_ack pcb (hdr : Tcp_header.t) =
   let ack = hdr.Tcp_header.ack in
@@ -1119,16 +1091,12 @@ let process_ack pcb (hdr : Tcp_header.t) =
       && pcb.snd_wnd > 0
     then begin
       pcb.dupacks <- pcb.dupacks + 1;
-      pcb.stats <- { pcb.stats with dup_acks = pcb.stats.dup_acks + 1 };
+      pcb.stats.dup_acks <- pcb.stats.dup_acks + 1;
       (* Fast retransmit: resend exactly the missing segment, once per
          window of loss (the [recover] guard prevents a dup-ACK storm from
          triggering a retransmission cascade). *)
       if pcb.dupacks = 3 && Tcp_seq.ge pcb.snd_una pcb.recover then begin
-        pcb.stats <-
-          {
-            pcb.stats with
-            fast_retransmits = pcb.stats.fast_retransmits + 1;
-          };
+        pcb.stats.fast_retransmits <- pcb.stats.fast_retransmits + 1;
         Obs.Counter.incr agg_fast_retransmits;
         pcb.recover <- pcb.snd_max;
         pcb.rtt_timing <- None;
@@ -1146,7 +1114,7 @@ let process_ack pcb (hdr : Tcp_header.t) =
     let acked = Tcp_seq.diff ack pcb.snd_una in
     pcb.dupacks <- 0;
     pcb.rexmt_shift <- 0;
-    pcb.stats <- { pcb.stats with acks_rcvd = pcb.stats.acks_rcvd + 1 };
+    pcb.stats.acks_rcvd <- pcb.stats.acks_rcvd + 1;
     (* RTT sample (Karn: only if the timed segment is covered and was not
        retransmitted — timing is dropped on retransmit). *)
     (match pcb.rtt_timing with
@@ -1264,10 +1232,7 @@ let rec process_data pcb ~seq chain =
 (* Full per-segment state machine, run inside a charged interrupt work
    item. *)
 let segment_arrived pcb (hdr : Tcp_header.t) chain =
-  Tracelog.debugf pcb.tcp.hst.Host.sim "tcp" "rcv %a len=%d st=%s rcv_nxt=%d"
-    Tcp_header.pp hdr (Mbuf.chain_len chain) (state_to_string pcb.st)
-    pcb.rcv_nxt;
-  pcb.stats <- { pcb.stats with segs_rcvd = pcb.stats.segs_rcvd + 1 };
+  pcb.stats.segs_rcvd <- pcb.stats.segs_rcvd + 1;
   keepalive_touch pcb;
   apply_rx_cost_options pcb hdr;
   let seq = hdr.Tcp_header.seq in
@@ -1470,7 +1435,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       on_sendable = (fun () -> ());
       on_established = (fun () -> ());
       on_closed = (fun () -> ());
-      stats = zero_stats;
+      stats = fresh_stats ();
     }
   in
   (* The timer callbacks need the pcb, so they are installed after the
@@ -1699,17 +1664,14 @@ let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
       pcb
   | None ->
   let pcb = make_pcb ~iss tcp ~local_addr:laddr ~lport ~raddr ~rport in
-  pcb.stats <-
-    {
-      zero_stats with
-      segs_sent = 1 + rexmits;
-      segs_rcvd = 1;
-      csum_host_tx = 1 + rexmits;
-      retransmits = rexmits;
-      rto_fires = rexmits;
-      csum_hw_verified_rx = (if verified_hw then 1 else 0);
-      csum_host_verified_rx = (if verified_hw then 0 else 1);
-    };
+  let s = pcb.stats in
+  s.segs_sent <- 1 + rexmits;
+  s.segs_rcvd <- 1;
+  s.csum_host_tx <- 1 + rexmits;
+  s.retransmits <- rexmits;
+  s.rto_fires <- rexmits;
+  if verified_hw then s.csum_hw_verified_rx <- 1
+  else s.csum_host_verified_rx <- 1;
   pcb.setup_t0 <- created;
   pcb.st <- Established;
   pcb.irs <- irs;
@@ -1952,10 +1914,12 @@ let cookie_ack tcp l ~laddr ~raddr ~lport ~rport ~shard (hdr : Tcp_header.t)
                 Mbuf.free seg
               end
               else
+                (* A cookie keeps no SYN arrival time, so set-up latency
+                   is not sampled (-1); conn.cookies_validated counts
+                   these promotions instead. *)
                 ignore
                   (establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport
-                     ~iss ~irs ~mss ~wscale:(-1)
-                     ~created:(Sim.now tcp.hst.Host.sim) ~rexmits:0
+                     ~iss ~irs ~mss ~wscale:(-1) ~created:(-1) ~rexmits:0
                      ~verified_hw hdr seg
                     : pcb)))
 
@@ -2174,11 +2138,7 @@ let sosend_append pcb ~proc chain =
       let merge = pcb.tcp.cfg.coalesce_descriptors in
       let appended = Mbuf.chain_len chain in
       if merge && Tcp_sendq.append_merges_descriptor pcb.sendq chain then begin
-        pcb.stats <-
-          {
-            pcb.stats with
-            descriptor_merges = pcb.stats.descriptor_merges + 1;
-          };
+        pcb.stats.descriptor_merges <- pcb.stats.descriptor_merges + 1;
         Obs_trace.emit Obs_trace.Sendq_merge ~a:appended
           ~b:(Tcp_sendq.length pcb.sendq)
       end;

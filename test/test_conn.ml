@@ -463,6 +463,45 @@ let sockpoll_accept_and_read () =
   check_drained "sockpoll" tb base
 
 (* --------------------------------------------------------------- *)
+(* Admission counters over the mixed server scenario                *)
+(* --------------------------------------------------------------- *)
+
+(* Every SYN the listener sees is counted in syn_rcvd and ends in
+   exactly one outcome counter (see the identity above the counter
+   definitions in tcp.ml). *)
+let syn_outcomes =
+  [
+    "syn_queued"; "syn_dup"; "cookies_sent"; "shed_pressure"; "shed_accept";
+    "shed_penalty"; "syn_drop_full"; "flood_injected";
+  ]
+
+let check_syn_identity ~flood =
+  let snap () = List.map conn_counter ("syn_rcvd" :: syn_outcomes) in
+  let before = snap () in
+  let r = Exp_server.run ~flood ~target:1000 ~concurrency:64 () in
+  check_bool "scenario ok" true r.Exp_server.ok;
+  match List.map2 ( - ) (snap ()) before with
+  | rcvd :: outcomes ->
+      check_bool "SYNs arrived" true (rcvd > 0);
+      check_int "syn_rcvd = sum of outcomes" rcvd
+        (List.fold_left ( + ) 0 outcomes);
+      r
+  | [] -> assert false
+
+let syn_identity_clean () = ignore (check_syn_identity ~flood:false)
+
+let syn_identity_flood () =
+  Obs_lat.reset ();
+  let r = check_syn_identity ~flood:true in
+  check_bool "cookies engaged" true (r.Exp_server.cookies_validated > 0);
+  (* A cookie promotion has no SYN arrival time: it must not record a
+     0 ns set-up sample. *)
+  check_bool "set-up latency sampled" true
+    (Obs.Histogram.count Obs_lat.conn_setup_ns > 0);
+  check_int "no 0 ns set-up samples" 0
+    (Obs.Histogram.bucket_count Obs_lat.conn_setup_ns 0)
+
+(* --------------------------------------------------------------- *)
 (* Port table                                                       *)
 (* --------------------------------------------------------------- *)
 
@@ -513,4 +552,9 @@ let () =
         ];
       sec "sockpoll" [ case "accept and read readiness" sockpoll_accept_and_read ];
       sec "ports" [ case "listen/unlisten/rebind" port_table_lifecycle ];
+      sec "counters"
+        [
+          case "SYN identity, clean run" syn_identity_clean;
+          case "SYN identity and set-up samples under flood" syn_identity_flood;
+        ];
     ]

@@ -249,7 +249,7 @@ let test_cpu_zero_duration () =
   Sim.run sim;
   check_int "zero-cost work completes" 5 !hits
 
-(* ---------- Rng / Stats ---------- *)
+(* ---------- Rng ---------- *)
 
 let test_rng_determinism () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
@@ -267,32 +267,6 @@ let prop_rng_bounds =
       let rng = Rng.create ~seed in
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
-
-let test_stats_mean () =
-  let m = Stats.Mean.create () in
-  List.iter (Stats.Mean.add m) [ 1.; 2.; 3.; 4. ];
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Mean.mean m);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.Mean.min m);
-  Alcotest.(check (float 1e-9)) "max" 4. (Stats.Mean.max m);
-  Alcotest.(check (float 1e-6)) "variance" (5. /. 3.) (Stats.Mean.variance m)
-
-let test_timeseries () =
-  let ts = Stats.Timeseries.create ~bucket:10 in
-  Stats.Timeseries.add ts ~time:5 100;
-  Stats.Timeseries.add ts ~time:9 50;
-  Stats.Timeseries.add ts ~time:35 10;
-  Alcotest.(check (list (pair int int)))
-    "bucketed with gap zeros"
-    [ (0, 150); (10, 0); (20, 0); (30, 10) ]
-    (Stats.Timeseries.buckets ts);
-  check_int "rate list length" 4 (List.length (Stats.Timeseries.rates_mbit ts))
-
-let test_histogram () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.add h) [ 1; 2; 3; 100; 1000 ];
-  check_int "count" 5 (Stats.Histogram.count h);
-  check_bool "p50 small" true (Stats.Histogram.percentile h 50. <= 4);
-  check_bool "p100 covers max" true (Stats.Histogram.percentile h 100. >= 512)
 
 let () =
   Alcotest.run "engine"
@@ -335,8 +309,5 @@ let () =
         [
           Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
           QCheck_alcotest.to_alcotest prop_rng_bounds;
-          Alcotest.test_case "mean/variance" `Quick test_stats_mean;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "timeseries" `Quick test_timeseries;
         ] );
     ]

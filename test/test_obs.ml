@@ -326,7 +326,64 @@ let test_subsystem_sections_present () =
     ];
   let json = Obs.to_json () in
   check_bool "export mentions sdma counters" true
-    (Astring.String.is_infix ~affix:"sdma_transfers" json)
+    (Astring.String.is_infix ~affix:"sdma_transfers" json);
+  (* The export reads the live records: each exported value equals the
+     field it mirrors. *)
+  let agree section fields =
+    List.iter
+      (fun (name, v) ->
+        let exported =
+          match Obs.find ~section ~name with
+          | Some (Obs.M_gauge g) -> int_of_float (g ())
+          | Some (Obs.M_counter c) -> Obs.Counter.get c
+          | _ -> Alcotest.failf "%s/%s not registered" section name
+        in
+        check_int (section ^ "/" ^ name) v exported)
+      fields
+  in
+  let c = Cab.stats tb.Testbed.a.Testbed.cab in
+  check_bool "cab moved data" true (c.Cab.sdma_bytes > 0);
+  agree "cab.hostA.cab"
+    Cab.
+      [
+        ("sdma_transfers", c.sdma_transfers); ("sdma_bytes", c.sdma_bytes);
+        ("sdma_chains", c.sdma_chains); ("mdma_packets", c.mdma_packets);
+        ("mdma_bytes", c.mdma_bytes); ("rx_packets", c.rx_packets);
+        ("rx_bytes", c.rx_bytes); ("rx_dropped", c.rx_dropped);
+        ("interrupts", c.interrupts); ("intr_events", c.intr_events);
+        ("sdma_stalled", c.sdma_stalled); ("intr_lost", c.intr_lost);
+        ("tx_recoveries", c.tx_recoveries);
+      ];
+  let d = Cab_driver.stats tb.Testbed.a.Testbed.driver in
+  check_bool "driver sent packets" true (d.Cab_driver.tx_packets > 0);
+  agree "cab_driver.hostA.cab"
+    Cab_driver.
+      [
+        ("tx_packets", d.tx_packets); ("tx_uio_segments", d.tx_uio_segments);
+        ("tx_kernel_segments", d.tx_kernel_segments);
+        ("tx_rewrites", d.tx_rewrites);
+        ("tx_adaptor_copies", d.tx_adaptor_copies);
+        ("tx_conversions", d.tx_conversions); ("tx_drops", d.tx_drops);
+        ("rx_packets", d.rx_packets);
+        ("rx_wcab_delivered", d.rx_wcab_delivered);
+        ("rx_copied_kernel", d.rx_copied_kernel); ("copyouts", d.copyouts);
+        ("unaligned_staged", d.unaligned_staged);
+        ("tx_gather_fallbacks", d.tx_gather_fallbacks);
+        ("tx_gather_bytes", d.tx_gather_bytes);
+        ("tx_staged_segments", d.tx_staged_segments);
+        ("tx_staged_bytes", d.tx_staged_bytes);
+        ("sdma_timeouts", d.sdma_timeouts);
+        ("adaptor_resets", d.adaptor_resets);
+        ("watchdog_polls", d.watchdog_polls); ("tx_exhausted", d.tx_exhausted);
+      ];
+  check_bool "mbuf pool used" true (Mbuf.Pool.hit_count () > 0);
+  agree "mbuf_pool"
+    [ ("hits", Mbuf.Pool.hit_count ()); ("misses", Mbuf.Pool.miss_count ()) ];
+  agree "bufpool"
+    [
+      ("hits", Bufpool.hit_count Bufpool.shared);
+      ("misses", Bufpool.miss_count Bufpool.shared);
+    ]
 
 let test_policy_registered () =
   let tb = Testbed.create () in

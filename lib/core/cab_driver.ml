@@ -4,7 +4,6 @@ type driver_stats = {
   mutable tx_kernel_segments : int;
   mutable tx_rewrites : int;
   mutable tx_adaptor_copies : int;
-  mutable tx_conversions : int;
   mutable tx_drops : int;
   mutable rx_packets : int;
   mutable rx_wcab_delivered : int;
@@ -51,7 +50,6 @@ let fresh_stats () =
     tx_kernel_segments = 0;
     tx_rewrites = 0;
     tx_adaptor_copies = 0;
-    tx_conversions = 0;
     tx_drops = 0;
     rx_packets = 0;
     rx_wcab_delivered = 0;
@@ -445,6 +443,11 @@ let output t ifc pkt ~next_hop =
                             else begin
                               (* §4.5 guard: the socket layer should have
                                  refused this; stage via kernel. *)
+                              t.s.tx_staged_segments <-
+                                t.s.tx_staged_segments + 1;
+                              t.s.tx_staged_bytes <- t.s.tx_staged_bytes + seg;
+                              Obs_ledger.touch Obs_ledger.Drv_tx_stage
+                                Obs_ledger.Copy seg;
                               let b = Bytes.create seg in
                               Region.blit_to_bytes sub ~src_off:0 b
                                 ~dst_off:0 ~len:seg;
@@ -768,7 +771,6 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog
    g "tx_kernel_segments" (fun () -> s.tx_kernel_segments);
    g "tx_rewrites" (fun () -> s.tx_rewrites);
    g "tx_adaptor_copies" (fun () -> s.tx_adaptor_copies);
-   g "tx_conversions" (fun () -> s.tx_conversions);
    g "tx_drops" (fun () -> s.tx_drops);
    g "rx_packets" (fun () -> s.rx_packets);
    g "rx_wcab_delivered" (fun () -> s.rx_wcab_delivered);

@@ -26,8 +26,6 @@ type driver_stats = private {
   mutable tx_adaptor_copies : int;
       (** netmem-to-netmem payload copies (partial retransmit of outboard
           data) *)
-  mutable tx_conversions : int;
-      (** UIO chains copied at entry (unmodified mode) *)
   mutable tx_drops : int;  (** network-memory exhaustion or missing neighbor *)
   mutable rx_packets : int;
   mutable rx_wcab_delivered : int;
@@ -40,7 +38,8 @@ type driver_stats = private {
       (** unaligned-scatter packets flattened into one kernel blob *)
   mutable tx_gather_bytes : int;  (** payload bytes those flattens copied *)
   mutable tx_staged_segments : int;
-      (** scatter pieces bounced through a kernel staging buffer *)
+      (** UIO pieces at unaligned user addresses bounced through a kernel
+          staging buffer *)
   mutable tx_staged_bytes : int;
   mutable sdma_timeouts : int;
       (** watchdog timeouts that reclaimed a stuck post and reposted it *)

@@ -37,6 +37,7 @@ let register_obs t =
   g "wheel_cascades" (fun () -> Tw.cascades t.wheel);
   g "wheel_near_rejects" (fun () -> Tw.near_rejects t.wheel);
   g "wheel_far_rejects" (fun () -> Tw.far_rejects t.wheel);
+  g "wheel_steps" (fun () -> Tw.steps t.wheel);
   Obs.table ~section:"sim" ~name:"wheel_levels" (fun () ->
       let b = Buffer.create 64 in
       Buffer.add_char b '[';

@@ -4,7 +4,9 @@
    cursor [now_tick] (a tick is 2^tick_bits ns).  The cursor only moves
    forward; slots strictly below it are empty.  Expiry sorts the slot
    under the cursor into [ready] — exact (deadline, seq) order — and
-   the ready head doubles as the next-deadline cache. *)
+   the ready head doubles as the next-deadline cache.  [occ] marks the
+   level-0 slots that may be occupied, 32 slots per word: a clear bit
+   means an empty slot, a set bit may be stale after a [cancel]. *)
 
 type timer = {
   mutable fn : unit -> unit;
@@ -40,6 +42,7 @@ type t = {
   horizon_ticks : int;              (* 2^(nlevels * slot_bits) *)
   slots : timer array array;        (* nlevels x 2^slot_bits sentinels *)
   counts : int array;               (* live timers per level *)
+  occ : int array;                  (* level-0 occupancy bitmap *)
   ready : timer;                    (* sorted expired list, sentinel *)
   mutable n_ready : int;
   mutable n_pending : int;          (* slots + ready *)
@@ -53,6 +56,7 @@ type t = {
   mutable n_cascades : int;
   mutable n_near : int;
   mutable n_far : int;
+  mutable n_steps : int;            (* [advance] loop iterations *)
 }
 
 let create ?(tick_bits = 9) ?(slot_bits = 8) ?(levels = 3) ?(prealloc = 64)
@@ -67,10 +71,11 @@ let create ?(tick_bits = 9) ?(slot_bits = 8) ?(levels = 3) ?(prealloc = 64)
       horizon_ticks = 1 lsl (levels * slot_bits);
       slots = Array.init levels (fun _ -> Array.init nslots (fun _ -> sentinel ()));
       counts = Array.make levels 0;
+      occ = Array.make ((nslots + 31) lsr 5) 0;
       ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
       nil; free = nil; n_free = 0;
       n_scheduled = 0; n_fired = 0; n_cancels = 0; n_cascades = 0;
-      n_near = 0; n_far = 0 }
+      n_near = 0; n_far = 0; n_steps = 0 }
   in
   for _ = 1 to prealloc do
     let tm = make ~fn:no_fn in
@@ -127,11 +132,31 @@ let append_before sent tm =
 let rec level_for t rel l =
   if rel asr ((l + 1) * t.slot_bits) = 0 then l else level_for t rel (l + 1)
 
+(* Lowest set bit of a non-zero 32-bit word, by de Bruijn multiply. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz32 w = debruijn.((((w land -w) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
+let rec scan occ w bits =
+  if bits <> 0 then (w lsl 5) lor ctz32 bits
+  else if w + 1 = Array.length occ then -1
+  else scan occ (w + 1) occ.(w + 1)
+
+(* First level-0 slot at or after [i] whose occupancy bit is set, or -1.
+   Searches only up to the end of the rotation (slot [mask]). *)
+let next_occupied t i =
+  let w = i lsr 5 in
+  scan t.occ w (t.occ.(w) land (-1 lsl (i land 31)))
+
 let place t tm =
   let dtick = tm.deadline asr t.tick_bits in
   let rel = dtick - t.now_tick in
   let level = level_for t rel 0 in
   let idx = (dtick asr (level * t.slot_bits)) land t.mask in
+  if level = 0 then
+    t.occ.(idx lsr 5) <- t.occ.(idx lsr 5) lor (1 lsl (idx land 31));
   append_before t.slots.(level).(idx) tm;
   t.counts.(level) <- t.counts.(level) + 1;
   tm.where <- level
@@ -222,22 +247,32 @@ let collect t =
 (* Advance the cursor until [ready] is non-empty.  Pre: n_pending >
    n_ready = 0, so some slot is occupied and the loop terminates.
    Cascade checks are idempotent (a cascaded slot is empty), so it is
-   safe to re-test boundaries on every iteration. *)
+   safe to re-test boundaries on every iteration.  The cursor stops at
+   the same ticks a one-tick-at-a-time walk would: it skips only slots
+   whose bit is clear, and never past the next level-1 boundary. *)
 let advance t =
   while t.n_ready = 0 do
+    t.n_steps <- t.n_steps + 1;
     for l = t.nlevels - 1 downto 1 do
       if t.now_tick land ((1 lsl (l * t.slot_bits)) - 1) = 0 then cascade t l
     done;
     if t.counts.(0) > 0 then begin
-      let s = t.slots.(0).(t.now_tick land t.mask) in
-      if s.next != s then begin
-        collect t;
-        (* The collected slot is consumed: deadlines at this tick now
+      let i = next_occupied t (t.now_tick land t.mask) in
+      if i < 0 then
+        (* The rest of this rotation is empty: the level-0 timers wrap
+           past the next level-1 boundary, which cascades first. *)
+        t.now_tick <- (t.now_tick lor t.mask) + 1
+      else begin
+        t.now_tick <- t.now_tick - (t.now_tick land t.mask) + i;
+        t.occ.(i lsr 5) <- t.occ.(i lsr 5) land lnot (1 lsl (i land 31));
+        (* A stale bit (every timer cancelled) just steps past the slot.
+           A collected slot is consumed: deadlines at this tick now
            arrive via the near-reject heap path, never behind the sorted
            ready batch. *)
+        let s = t.slots.(0).(i) in
+        if s.next != s then collect t;
         t.now_tick <- t.now_tick + 1
       end
-      else t.now_tick <- t.now_tick + 1
     end
     else begin
       (* Level 0 empty: jump to the next boundary of the lowest occupied
@@ -286,6 +321,7 @@ let cancels t = t.n_cancels
 let cascades t = t.n_cascades
 let near_rejects t = t.n_near
 let far_rejects t = t.n_far
+let steps t = t.n_steps
 
 (* Debug: physically locate [tm] by scanning every slot and the ready
    list; report cursor and per-level counts. *)

@@ -15,6 +15,18 @@
     - {b re-arm}: unlink + relink, reusing the same record and callback,
       so the steady-state re-arm path allocates nothing.
 
+    Expiry is O(1) per fired timer as well.  A bitmap of the level-0
+    slots (32 per [int] word) lets the cursor jump straight to the next
+    occupied slot instead of stepping one tick at a time: {!next_deadline}
+    finds the first set bit at or after the cursor with a de Bruijn
+    multiply, or, when the rest of the rotation is empty, jumps to the
+    next level-1 boundary and cascades.  Placing a timer at level 0 sets
+    its slot's bit; reaching the slot clears it.  {!cancel} leaves the
+    bit set (clearing lazily): a stale bit only costs the cursor one stop
+    at an empty slot.  The cursor therefore stops at exactly the ticks a
+    tick-by-tick walk would, so ready batches, rejects and firing order
+    do not depend on the bitmap.
+
     Timer records are preallocated and free-listed ({!alloc}/{!release});
     one-shot handles that escape to callers use {!make} and are GC-owned.
 
@@ -89,7 +101,8 @@ val next_deadline : t -> Simtime.t
 (** Exact earliest pending deadline, or [max_int] when empty.  Advances
     the cursor (cascading coarser levels) until the earliest occupied
     slot has been sorted into the ready list; subsequent calls are O(1)
-    until that batch is consumed. *)
+    until that batch is consumed.  The cursor skips empty level-0 slots
+    through the occupancy bitmap (see above). *)
 
 val expired_seq : t -> time:Simtime.t -> seq_below:int -> int
 (** [seq] of the ready-list head if it expires exactly at [time] with
@@ -117,6 +130,10 @@ val cancels : t -> int
 val cascades : t -> int
 val near_rejects : t -> int
 val far_rejects : t -> int
+
+val steps : t -> int
+(** Cursor-loop iterations spent in {!next_deadline}: one per occupied
+    (or stale) slot reached and one per boundary jump. *)
 
 val dbg_locate : t -> timer -> string
 (** Debug: scan all slots/ready for physical membership of a timer. *)

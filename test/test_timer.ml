@@ -6,7 +6,8 @@
    byte-identical (id, time) firing logs — same events, same instants,
    same same-instant order.  Unit tests pin down the wheel's edges:
    cascade boundaries, zero-delay events, cancel-inside-handler,
-   far-future overflow into the heap, and the heap's dead-entry
+   far-future overflow into the heap, the occupancy bitmap's skip paths
+   (stale bits, wrap past a level-1 boundary) and the heap's dead-entry
    compaction. *)
 
 let check_int = Alcotest.(check int)
@@ -56,12 +57,16 @@ let run_program ~wheel nodes =
   (List.rev !log, Sim.events_fired sim)
 
 (* Delays that stress every placement class: zero (heap), sub-tick,
-   level boundaries, mid-level, and beyond the horizon (heap). *)
+   level boundaries, mid-level, level-0 deadlines that wrap past the next
+   level-1 boundary, several deadlines sharing one level-0 slot, and
+   beyond the horizon (heap). *)
 let delay_pool =
   [
-    0; 1; 7; tick - 1; tick; tick + 1; 4096; 100_000; l1_span - 1; l1_span;
-    l1_span + 1; 1_000_000; l2_span - 1; l2_span; l2_span + 1; 500_000_000;
-    horizon - 1; horizon; horizon + tick; 12_000_000_000;
+    0; 1; 7; tick - 1; tick; tick + 1; (3 * tick) + 1; (3 * tick) + 200;
+    (3 * tick) + 511; 4096; 100_000; (200 * tick) + 17; 300 * tick;
+    l1_span - (3 * tick); l1_span - 1; l1_span; l1_span + 1; 1_000_000;
+    l2_span - 1; l2_span; l2_span + 1; 500_000_000; horizon - 1; horizon;
+    horizon + tick; 12_000_000_000;
   ]
 
 let gen_program =
@@ -198,6 +203,97 @@ let test_far_future_overflow () =
     [ ("near", tick); ("far", far) ]
     (List.rev !log)
 
+(* ---------- unit: occupancy-bitmap skip paths ---------- *)
+
+(* Run [scenario] on a wheel-backed and a heap-only scheduler; both must
+   log the same (id, time) sequence.  Returns the wheel's log. *)
+let same_as_heap scenario =
+  let run ~wheel =
+    let sim = Sim.create ~wheel () in
+    let log = ref [] in
+    scenario sim (fun id -> log := (id, Sim.now sim) :: !log);
+    Sim.run sim;
+    List.rev !log
+  in
+  let wlog = run ~wheel:true in
+  Alcotest.(check (list (pair int int))) "wheel = heap" (run ~wheel:false) wlog;
+  wlog
+
+let test_stale_bits_dense_run () =
+  (* A timer in each of 60 consecutive level-0 slots, all cancelled
+     before the cursor gets there: the cursor must step over the stale
+     bits and fire only the survivors, at their exact times. *)
+  let log =
+    same_as_heap (fun sim note ->
+        let hs =
+          List.init 60 (fun i ->
+              Sim.at sim (((i + 10) * tick) + i) (fun () -> note i))
+        in
+        List.iteri (fun i h -> if i <> 30 then Sim.cancel sim h) hs;
+        ignore (Sim.at sim (100 * tick) (fun () -> note 100)))
+  in
+  Alcotest.(check (list (pair int int)))
+    "survivors only" [ (30, (40 * tick) + 30); (100, 100 * tick) ] log
+
+let test_stale_bits_reanchor () =
+  (* Empty the wheel by cancelling everything (its bits stay set), let
+     the clock run on, then schedule into the slots the stale bits name:
+     the re-anchored cursor must fire exactly the new timers. *)
+  let log =
+    same_as_heap (fun sim note ->
+        let hs = List.init 8 (fun i -> Sim.at sim ((i + 1) * 20 * tick) ignore) in
+        List.iter (Sim.cancel sim) hs;
+        ignore
+          (Sim.at sim ((5 * l1_span) + (15 * tick)) (fun () ->
+               List.iteri
+                 (fun k d -> ignore (Sim.after sim d (fun () -> note k)))
+                 [ 25 * tick; 5 * tick; (5 * tick) + 3; 145 * tick; 300 * tick ])))
+  in
+  let at0 = (5 * l1_span) + (15 * tick) in
+  Alcotest.(check (list (pair int int)))
+    "new timers only, exact times"
+    [
+      (1, at0 + (5 * tick)); (2, at0 + (5 * tick) + 3); (0, at0 + (25 * tick));
+      (3, at0 + (145 * tick)); (4, at0 + (300 * tick));
+    ]
+    log
+
+let test_wrap_level1_boundary () =
+  (* With the cursor late in a rotation, level-0 timers sit on both
+     sides of the next level-1 boundary (the far side wraps to low slot
+     indices), next to a level-1 timer that cascades at the boundary.
+     They fire in (time, seq) order. *)
+  let log =
+    same_as_heap (fun sim note ->
+        ignore
+          (Sim.at sim (200 * tick) (fun () ->
+               List.iteri
+                 (fun k t -> ignore (Sim.at sim t (fun () -> note k)))
+                 [
+                   l1_span + (10 * tick); (250 * tick) + 1; l1_span;
+                   l1_span + (300 * tick); l1_span; 255 * tick;
+                   (2 * l1_span) - 1; l1_span + (10 * tick);
+                 ])))
+  in
+  Alcotest.(check (list int))
+    "ids in (time, seq) order" [ 1; 5; 2; 4; 0; 7; 6; 3 ] (List.map fst log)
+
+let wheel_steps () =
+  match Obs.find ~section:"sim" ~name:"wheel_steps" with
+  | Some (Obs.M_gauge f) -> int_of_float (f ())
+  | _ -> Alcotest.fail "sim/wheel_steps not registered"
+
+let test_cursor_jumps () =
+  (* The cursor jumps straight to the occupied slot instead of walking
+     the 255 empty ticks before it. *)
+  let sim = Sim.create () in
+  let fired = ref false in
+  ignore (Sim.at sim (255 * tick) (fun () -> fired := true));
+  Sim.run sim;
+  check_bool "fired" true !fired;
+  let steps = wheel_steps () in
+  if steps > 3 then Alcotest.failf "%d cursor steps for one timer (max 3)" steps
+
 (* ---------- unit: reusable timer lifecycle ---------- *)
 
 let test_rearm_moves_deadline () =
@@ -306,6 +402,14 @@ let () =
             test_cancel_inside_handler;
           Alcotest.test_case "far-future overflow" `Quick
             test_far_future_overflow;
+          Alcotest.test_case "stale bits: cancelled dense run" `Quick
+            test_stale_bits_dense_run;
+          Alcotest.test_case "stale bits: re-anchor" `Quick
+            test_stale_bits_reanchor;
+          Alcotest.test_case "wrap past a level-1 boundary" `Quick
+            test_wrap_level1_boundary;
+          Alcotest.test_case "cursor jumps to the next slot" `Quick
+            test_cursor_jumps;
         ] );
       ( "reusable",
         [

@@ -1,11 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus the extra experiments DESIGN.md lists, plus Bechamel
-   microbenchmarks of the real data-touching primitives.
+   evaluation and the extra experiments (the print-only targets of
+   lib/harness/experiments.ml, shared with `nectar reproduce`), plus
+   Bechamel microbenchmarks of the real data-touching primitives and the
+   file-writing targets micro, macro, soak and server below.
 
    Usage:  main.exe [--json] [--out-dir DIR] [--trace] [target ...]
-   Targets: fig5 fig6 table1 table2 analysis hol alignment pincache
-            autodma smallwrite interop micro macro all paper
-   Default: all.
+   Targets: any name in Experiments.all or below, or the groups paper
+            and all.  Default: all.
 
    --json     also write BENCH_micro.json / BENCH_macro.json
    --out-dir  directory for every emitted file (default ".")
@@ -19,48 +20,9 @@ let trace_mode = ref false
 
 let out_path file = Filename.concat !out_dir file
 
-let run_fig5 () =
-  let report = Exp_figures.run ~profile:Host_profile.alpha400 () in
-  Exp_figures.print ~figure:"Figure 5" report;
-  Exp_figures.plot_charts ~figure:"Figure 5" report;
-  (match Exp_figures.crossover report with
-  | Some (a, b) ->
-      Printf.printf
-        "\n  efficiency crossover between %dK and %dK writes (paper: between \
-         8K and 16K)\n"
-        (a / 1024) (b / 1024)
-  | None -> Printf.printf "\n  no efficiency crossover found\n");
-  Printf.printf
-    "  single-copy/unmodified efficiency at 512K: %.2fx (paper: ~2.7x)\n"
-    (Exp_figures.large_write_efficiency_ratio report);
-  report
-
-let run_fig6 () =
-  let report = Exp_figures.run ~profile:Host_profile.alpha300lx () in
-  Exp_figures.print ~figure:"Figure 6" report;
-  Exp_figures.plot_charts ~figure:"Figure 6" report;
-  Printf.printf
-    "\n  (half-speed host: the more efficient single-copy stack now wins on \
-     throughput too)\n";
-  report
-
-let run_table1 () = Exp_tables.print_table1 ~profile:Host_profile.alpha400
-
-let run_table2 () =
-  Exp_tables.print_table2 (Exp_tables.run_table2 ~profile:Host_profile.alpha400)
-
-let run_analysis measured =
-  let a =
-    Exp_tables.run_analysis ?measured ~profile:Host_profile.alpha400
-      ~packet:32768 ()
-  in
-  Exp_tables.print_analysis a
-
-let run_hol () = Exp_hol.print (Exp_hol.run ~seed:20260706 ())
-
 (* ---------------- Bechamel microbenchmarks ---------------- *)
 
-let micro ?(json = false) () =
+let micro ~json () =
   let open Bechamel in
   let open Toolkit in
   let buf32k = Bytes.create 32768 in
@@ -315,25 +277,17 @@ type macro_row = {
       (** receiver CAB rx-pipeline counters (JSON object), ttcp rows *)
 }
 
-(* Side channel from a fault-injection workload to [measure]: the run
-   closure deposits its recovery report here and [measure] attaches it to
-   the row (the shared closure signature stays (mbit, routing, bytes)). *)
-let fault_json : string option ref = ref None
-
-(* Same side-channel pattern for the receiver adaptor's rx-pipeline
-   counters: every ttcp run deposits them so the gate can prove the
-   copy-out/auto-DMA overlap actually happened on the bulk rows. *)
-let rx_pipe_json : string option ref = ref None
-
-let deposit_rx_pipe cab =
+(* The receiver adaptor's rx-pipeline counters, attached to every ttcp
+   row so the gate can prove the copy-out/auto-DMA overlap actually
+   happened on the bulk rows. *)
+let rx_pipe_json cab =
   let p = Cab.rx_pipe_stats cab in
-  rx_pipe_json :=
-    Some
-      (Printf.sprintf
-         "{ \"depth\": %d, \"posts\": %d, \"hwm\": %d, \"overlap\": %d, \
-          \"stalls\": %d }"
-         p.Cab.rx_pipe_depth p.Cab.rx_pipe_posts p.Cab.rx_pipe_hwm
-         p.Cab.rx_pipe_overlap p.Cab.rx_pipe_stalls)
+  Some
+    (Printf.sprintf
+       "{ \"depth\": %d, \"posts\": %d, \"hwm\": %d, \"overlap\": %d, \
+        \"stalls\": %d }"
+       p.Cab.rx_pipe_depth p.Cab.rx_pipe_posts p.Cab.rx_pipe_hwm
+       p.Cab.rx_pipe_overlap p.Cab.rx_pipe_stalls)
 
 (* Flight-recorder side channel: when armed (the traced 1M row), each
    ttcp run drives an Obs_series recorder from a timing-wheel periodic
@@ -385,8 +339,11 @@ let arm_series tb =
 let macro_tcp_config ~adaptive c =
   if adaptive then { c with Tcp.coalesce_descriptors = true } else c
 
-(* One full ttcp transfer; returns (sim Mbit/s, routing stats, payload
-   bytes moved).  [force_uio] selects the paper's measurement
+(* Every workload below returns (sim Mbit/s, routing stats, payload bytes
+   moved, recovery report, rx-pipeline counters); the last two are JSON
+   objects, present only on the fault-injection row and the ttcp rows.
+
+   One full ttcp transfer.  [force_uio] selects the paper's measurement
    configuration (every write down the single-copy path, no adaptive
    policy) — the configuration the single-copy invariant is gated on. *)
 let macro_ttcp ?(force_uio = false) ~mode ~total () =
@@ -395,8 +352,11 @@ let macro_ttcp ?(force_uio = false) ~mode ~total () =
   let tb = Testbed.create ~mode ~tcp_config:(macro_tcp_config ~adaptive) () in
   arm_series tb;
   let r = Ttcp.run ~tb ~wsize ~total ~force_uio ~adaptive ~verify:false () in
-  deposit_rx_pipe tb.Testbed.b.Testbed.cab;
-  (r.Ttcp.receiver.Measurement.throughput_mbit, r.Ttcp.sender_policy, total)
+  ( r.Ttcp.receiver.Measurement.throughput_mbit,
+    r.Ttcp.sender_policy,
+    total,
+    None,
+    rx_pipe_json tb.Testbed.b.Testbed.cab )
 
 (* [rounds] request-response exchanges of [size]-byte messages with one
    outstanding request; returns (sim Mbit/s both directions, routing). *)
@@ -447,7 +407,7 @@ let macro_rpc ~mode ~size ~rounds () =
   | Some (elapsed, policy) ->
       let bits = float_of_int (rounds * size * 2 * 8) in
       let mbit = bits /. Simtime.to_s elapsed /. 1e6 in
-      (mbit, Option.map Path_policy.stats policy, rounds * size * 2)
+      (mbit, Option.map Path_policy.stats policy, rounds * size * 2, None, None)
 
 (* Degraded-mode ttcp: 2% wire corruption plus one outboard-memory
    exhaustion episode, over a watchdog-enabled testbed.  The throughput
@@ -463,9 +423,8 @@ let macro_ttcp_faulty () =
     Fault.plan ~site:"netmem.exhaust" (Fault.Once_at 40)
   in
   let r = Exp_soak.run_seed ~wsize:65536 ~total ~plans 1995 in
-  fault_json :=
-    Some
-      (Printf.sprintf
+  let fault =
+    Printf.sprintf
          "{ \"verified\": %b, \"completed\": %b, \"leaks\": %d, \
           \"retransmits\": %d, \"csum_failures_rx\": %d, \
           \"frames_corrupted\": %d, \"tx_recoveries\": %d, \
@@ -476,8 +435,9 @@ let macro_ttcp_faulty () =
          r.Exp_soak.retransmits r.Exp_soak.csum_failures
          r.Exp_soak.frames_corrupted r.Exp_soak.tx_recoveries
          r.Exp_soak.sdma_timeouts r.Exp_soak.adaptor_resets
-         r.Exp_soak.netmem_failures r.Exp_soak.pin_fallbacks);
-  (r.Exp_soak.throughput_mbit, r.Exp_soak.policy, total)
+         r.Exp_soak.netmem_failures r.Exp_soak.pin_fallbacks
+  in
+  (r.Exp_soak.throughput_mbit, r.Exp_soak.policy, total, Some fault, None)
 
 (* RSS scaling row: 8 concurrent ttcp flows on the CPU-bound smp profile
    with a non-bottleneck link rate, so aggregate throughput tracks how
@@ -493,15 +453,12 @@ let macro_ttcp_parallel ~shards () =
     Ttcp.run_parallel ~tb ~flows:8 ~wsize:(256 * 1024) ~total ~verify:false
       ()
   in
-  deposit_rx_pipe tb.Testbed.b.Testbed.cab;
-  (r.Ttcp.p_mbit, None, 8 * total)
+  (r.Ttcp.p_mbit, None, 8 * total, None, rx_pipe_json tb.Testbed.b.Testbed.cab)
 
-let macro ?(json = false) () =
+let macro ~json () =
   let measure ?(traced = false) ~name ~iters run =
     (* Warm-up: fault in the pools, then measure with clean counters and
        a fresh data-touch ledger window. *)
-    fault_json := None;
-    rx_pipe_json := None;
     ignore (run ());
     Mbuf.Pool.reset ();
     Bufpool.reset_stats Bufpool.shared;
@@ -527,7 +484,7 @@ let macro ?(json = false) () =
       Obs_trace.disable ();
       series_on := false
     end;
-    let mbit, routing, payload = Option.get !last in
+    let mbit, routing, payload, fault, rx_pipe = Option.get !last in
     let d = Obs_ledger.since s0 in
     (* Median per-iteration time: wall-clock on a shared machine has
        heavy-tailed load spikes that would dominate a mean. *)
@@ -542,8 +499,8 @@ let macro ?(json = false) () =
       row_routing = routing;
       row_touch = Obs_ledger.report_json d ~payload:(payload * iters);
       row_lat = Obs_lat.summary_json ();
-      row_fault = !fault_json;
-      row_rx_pipe = !rx_pipe_json;
+      row_fault = fault;
+      row_rx_pipe = rx_pipe;
     }
   in
   let modes = [ Stack_mode.Single_copy; Stack_mode.Unmodified ] in
@@ -706,145 +663,103 @@ let macro ?(json = false) () =
       (Obs_trace.length ()) (Obs_trace.dropped ()) rf
   end
 
-(* ---------------- dispatch ---------------- *)
+(* ---------------- file-writing targets ---------------- *)
 
-let fig5_cache : Exp_figures.report option ref = ref None
-let json_mode = ref false
+let soak () =
+  (* Fault-storm soak over fixed seeds: each must finish verified
+     with zero occupancy leaks.  Runs 5x the pre-timing-wheel event
+     volume (10 MByte per seed vs the original 2) and reports the
+     wall clock + event count so scripts/bench_gate.py --soak can
+     hold the O(1) timer core to a hard CI time budget.  The
+     metrics-registry dump (with the "sim" timer-core section) is
+     always written for the CI artifact. *)
+  let bytes_per_seed = 10 * 1024 * 1024 in
+  let t0 = Unix.gettimeofday () in
+  let reports = Exp_soak.run_storm ~total:bytes_per_seed () in
+  let wall = Unix.gettimeofday () -. t0 in
+  Exp_soak.print reports;
+  let ok = Exp_soak.all_ok reports in
+  let events = Exp_soak.total_events reports in
+  let file = out_path "BENCH_soak.json" in
+  let oc = open_out file in
+  Printf.fprintf oc
+    "{ \"ok\": %b, \"wall_s\": %.3f, \"seeds\": %d, \"bytes_per_seed\": \
+     %d, \"events\": %d }\n"
+    ok wall (List.length reports) bytes_per_seed events;
+  close_out oc;
+  let rf = out_path "BENCH_soak_obs.json" in
+  let oc = open_out rf in
+  output_string oc (Obs.to_json ());
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "\n  wrote %s and %s (%.1f s wall, %d events)\n" file rf
+    wall events;
+  if not ok then begin
+    Printf.printf "  soak FAILED\n";
+    exit 1
+  end
+  else Printf.printf "  soak ok (%d seeds)\n" (List.length reports)
 
-let run_target = function
-  | "fig5" -> fig5_cache := Some (run_fig5 ())
-  | "fig6" -> ignore (run_fig6 ())
-  | "table1" -> run_table1 ()
-  | "table2" -> run_table2 ()
-  | "analysis" ->
-      (* Reuse fig5 data when it was produced in the same invocation. *)
-      let measured =
-        match !fig5_cache with
-        | Some r -> Some r
-        | None -> Some (Exp_figures.run ~sizes:[ 524288 ] ~profile:Host_profile.alpha400 ())
-      in
-      run_analysis measured
-  | "hol" -> run_hol ()
-  | "alignment" -> Exp_extras.print_alignment ()
-  | "pincache" -> Exp_extras.print_pin_cache ()
-  | "autodma" -> Exp_extras.print_autodma_sweep ()
-  | "smallwrite" -> Exp_extras.print_small_write_policies ()
-  | "interop" -> Exp_extras.print_interop ()
-  | "incast" ->
-      Exp_incast.print (Exp_incast.run ~mode:Stack_mode.Unmodified ());
-      Exp_incast.print (Exp_incast.run ~mode:Stack_mode.Single_copy ())
-  | "allpairs" -> Exp_incast.print_all_pairs (Exp_incast.run_all_pairs ())
-  | "scaling" -> Exp_scaling.print (Exp_scaling.run ())
-  | "netmem" -> Exp_netmem.print (Exp_netmem.run ())
-  | "serverapi" -> Exp_serverapi.print (Exp_serverapi.run ())
-  | "rpc" -> Exp_rpc.print (Exp_rpc.run ())
-  | "window" -> Exp_window.print (Exp_window.run ())
-  | "micro" -> micro ~json:!json_mode ()
-  | "macro" -> macro ~json:!json_mode ()
-  | "soak" ->
-      (* Fault-storm soak over fixed seeds: each must finish verified
-         with zero occupancy leaks.  Runs 5x the pre-timing-wheel event
-         volume (10 MByte per seed vs the original 2) and reports the
-         wall clock + event count so scripts/bench_gate.py --soak can
-         hold the O(1) timer core to a hard CI time budget.  The
-         metrics-registry dump (with the "sim" timer-core section) is
-         always written for the CI artifact. *)
-      let bytes_per_seed = 10 * 1024 * 1024 in
-      let t0 = Unix.gettimeofday () in
-      let reports = Exp_soak.run_storm ~total:bytes_per_seed () in
-      let wall = Unix.gettimeofday () -. t0 in
-      Exp_soak.print reports;
-      let ok = Exp_soak.all_ok reports in
-      let events = Exp_soak.total_events reports in
-      let file = out_path "BENCH_soak.json" in
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{ \"ok\": %b, \"wall_s\": %.3f, \"seeds\": %d, \"bytes_per_seed\": \
-         %d, \"events\": %d }\n"
-        ok wall (List.length reports) bytes_per_seed events;
-      close_out oc;
-      let rf = out_path "BENCH_soak_obs.json" in
-      let oc = open_out rf in
-      output_string oc (Obs.to_json ());
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "\n  wrote %s and %s (%.1f s wall, %d events)\n" file rf
-        wall events;
-      if not ok then begin
-        Printf.printf "  soak FAILED\n";
-        exit 1
-      end
-      else Printf.printf "  soak ok (%d seeds)\n" (List.length reports)
-  | "server" ->
-      (* Overload-robustness macro scenario: the 100K-accept mixed server
-         (RPC churn over 4 bulk flows), clean then under SYN flood.  Both
-         rows must drain exactly to baseline; the flood row must keep the
-         bulk flows at >= 0.8x the clean aggregate while the shed AND
-         cookie counters engage — scripts/bench_gate.py --server holds
-         all of it to hard gates. *)
-      let target = 100_000 in
-      let t0 = Unix.gettimeofday () in
-      let clean = Exp_server.run ~target () in
-      Exp_server.print clean;
-      Obs_lat.reset ();
-      let flood = Exp_server.run ~flood:true ~target () in
-      Exp_server.print flood;
-      let wall = Unix.gettimeofday () -. t0 in
-      let row (r : Exp_server.result) =
-        Printf.sprintf
-          "{ \"flood\": %b, \"ok\": %b, \"target\": %d, \"accepted\": %d, \
-           \"rpc_completed\": %d, \"client_retries\": %d, \"bulk_mbit\": \
-           %.3f, \"syn_rcvd\": %d, \"cookies_sent\": %d, \
-           \"cookies_validated\": %d, \"sheds\": %d, \"accept_p50_us\": %s, \
-           \"accept_p99_us\": %s, \"leaks\": %d, \"elapsed_s\": %.3f, \
-           \"events\": %d }"
-          r.Exp_server.flood r.Exp_server.ok r.Exp_server.target
-          r.Exp_server.accepted r.Exp_server.rpc_completed
-          r.Exp_server.client_retries r.Exp_server.bulk_mbit
-          r.Exp_server.syn_rcvd r.Exp_server.cookies_sent
-          r.Exp_server.cookies_validated r.Exp_server.sheds
-          (match r.Exp_server.accept_p50_us with
-          | Some v -> Printf.sprintf "%.3f" v
-          | None -> "null")
-          (match r.Exp_server.accept_p99_us with
-          | Some v -> Printf.sprintf "%.3f" v
-          | None -> "null")
-          (List.length r.Exp_server.leaks)
-          r.Exp_server.elapsed_s r.Exp_server.events
-      in
-      let file = out_path "BENCH_server.json" in
-      let oc = open_out file in
-      Printf.fprintf oc "{ \"wall_s\": %.3f, \"rows\": [ %s, %s ] }\n" wall
-        (row clean) (row flood);
-      close_out oc;
-      let rf = out_path "BENCH_server_obs.json" in
-      let oc = open_out rf in
-      output_string oc (Obs.to_json ~sections:[ "conn"; "lat"; "sim" ] ());
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "\n  wrote %s and %s (%.1f s wall)\n" file rf wall;
-      if not (clean.Exp_server.ok && flood.Exp_server.ok) then begin
-        Printf.printf "  server FAILED\n";
-        exit 1
-      end
-      else Printf.printf "  server ok (clean + flood)\n"
-  | t ->
-      Printf.eprintf "unknown target %S\n" t;
-      exit 2
-
-let paper_targets = [ "table1"; "table2"; "fig5"; "fig6"; "analysis"; "hol" ]
-
-let all_targets =
-  paper_targets
-  @ [ "alignment"; "pincache"; "autodma"; "smallwrite"; "interop"; "incast";
-      "allpairs"; "scaling"; "netmem"; "serverapi"; "rpc"; "window";
-      "micro"; "macro"; "soak"; "server" ]
+let server () =
+  (* Overload-robustness macro scenario: the 100K-accept mixed server
+     (RPC churn over 4 bulk flows), clean then under SYN flood.  Both
+     rows must drain exactly to baseline; the flood row must keep the
+     bulk flows at >= 0.8x the clean aggregate while the shed AND
+     cookie counters engage — scripts/bench_gate.py --server holds
+     all of it to hard gates. *)
+  let target = 100_000 in
+  let t0 = Unix.gettimeofday () in
+  let clean = Exp_server.run ~target () in
+  Exp_server.print clean;
+  Obs_lat.reset ();
+  let flood = Exp_server.run ~flood:true ~target () in
+  Exp_server.print flood;
+  let wall = Unix.gettimeofday () -. t0 in
+  let row (r : Exp_server.result) =
+    Printf.sprintf
+      "{ \"flood\": %b, \"ok\": %b, \"target\": %d, \"accepted\": %d, \
+       \"rpc_completed\": %d, \"client_retries\": %d, \"bulk_mbit\": \
+       %.3f, \"syn_rcvd\": %d, \"cookies_sent\": %d, \
+       \"cookies_validated\": %d, \"sheds\": %d, \"accept_p50_us\": %s, \
+       \"accept_p99_us\": %s, \"leaks\": %d, \"elapsed_s\": %.3f, \
+       \"events\": %d }"
+      r.Exp_server.flood r.Exp_server.ok r.Exp_server.target
+      r.Exp_server.accepted r.Exp_server.rpc_completed
+      r.Exp_server.client_retries r.Exp_server.bulk_mbit
+      r.Exp_server.syn_rcvd r.Exp_server.cookies_sent
+      r.Exp_server.cookies_validated r.Exp_server.sheds
+      (match r.Exp_server.accept_p50_us with
+      | Some v -> Printf.sprintf "%.3f" v
+      | None -> "null")
+      (match r.Exp_server.accept_p99_us with
+      | Some v -> Printf.sprintf "%.3f" v
+      | None -> "null")
+      (List.length r.Exp_server.leaks)
+      r.Exp_server.elapsed_s r.Exp_server.events
+  in
+  let file = out_path "BENCH_server.json" in
+  let oc = open_out file in
+  Printf.fprintf oc "{ \"wall_s\": %.3f, \"rows\": [ %s, %s ] }\n" wall
+    (row clean) (row flood);
+  close_out oc;
+  let rf = out_path "BENCH_server_obs.json" in
+  let oc = open_out rf in
+  output_string oc (Obs.to_json ~sections:[ "conn"; "lat"; "sim" ] ());
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "\n  wrote %s and %s (%.1f s wall)\n" file rf wall;
+  if not (clean.Exp_server.ok && flood.Exp_server.ok) then begin
+    Printf.printf "  server FAILED\n";
+    exit 1
+  end
+  else Printf.printf "  server ok (clean + flood)\n"
 
 let () =
+  let json = ref false in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--json" :: rest ->
-        json_mode := true;
+        json := true;
         parse acc rest
     | "--trace" :: rest ->
         trace_mode := true;
@@ -858,16 +773,26 @@ let () =
     | t :: rest -> parse (t :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let table =
+    Experiments.all
+    @ [
+        ("micro", micro ~json:!json);
+        ("macro", macro ~json:!json);
+        ("soak", soak);
+        ("server", server);
+      ]
+  in
+  let targets =
+    match Experiments.select table (if args = [] then [ "all" ] else args) with
+    | Ok targets -> targets
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
   if !out_dir <> "." && not (Sys.file_exists !out_dir) then
     Unix.mkdir !out_dir 0o755;
-  let targets =
-    match args with
-    | [] | [ "all" ] -> all_targets
-    | [ "paper" ] -> paper_targets
-    | ts -> ts
-  in
   Printf.printf
     "Software Support for Outboard Buffering and Checksumming (SIGCOMM '95)\n\
      — simulation reproduction; targets: %s\n"
-    (String.concat " " targets);
-  List.iter run_target targets
+    (String.concat " " (List.map fst targets));
+  List.iter (fun (_, run) -> run ()) targets

@@ -2,7 +2,6 @@
 
    Subcommands:
      nectar reproduce [TARGET...]   regenerate the paper's tables/figures
-     nectar ttcp [...]              one ttcp run with full knobs
      nectar ping [...]              ICMP echo over the simulated testbed
      nectar inventory               what is in this reproduction *)
 
@@ -11,61 +10,14 @@ open Cmdliner
 (* ---------------- reproduce ---------------- *)
 
 let reproduce targets =
-  let targets = if targets = [] then [ "paper" ] else targets in
-  let known =
-    [ "paper"; "all"; "fig5"; "fig6"; "table1"; "table2"; "analysis"; "hol";
-      "alignment"; "pincache"; "autodma"; "smallwrite"; "interop"; "incast";
-      "allpairs"; "scaling"; "netmem"; "serverapi" ]
-  in
-  List.iter
-    (fun t ->
-      if not (List.mem t known) then begin
-        Printf.eprintf "unknown target %S; known: %s\n" t
-          (String.concat " " known);
-        exit 2
-      end)
-    targets;
-  let expand = function
-    | "paper" -> [ "table1"; "table2"; "fig5"; "fig6"; "analysis"; "hol" ]
-    | "all" ->
-        [ "table1"; "table2"; "fig5"; "fig6"; "analysis"; "hol"; "alignment";
-          "pincache"; "autodma"; "smallwrite"; "interop"; "incast";
-          "allpairs"; "scaling"; "netmem"; "serverapi" ]
-    | t -> [ t ]
-  in
-  let fig5 = ref None in
-  let run = function
-    | "fig5" ->
-        let r = Exp_figures.run ~profile:Host_profile.alpha400 () in
-        fig5 := Some r;
-        Exp_figures.print ~figure:"Figure 5" r
-    | "fig6" ->
-        Exp_figures.print ~figure:"Figure 6"
-          (Exp_figures.run ~profile:Host_profile.alpha300lx ())
-    | "table1" -> Exp_tables.print_table1 ~profile:Host_profile.alpha400
-    | "table2" ->
-        Exp_tables.print_table2
-          (Exp_tables.run_table2 ~profile:Host_profile.alpha400)
-    | "analysis" ->
-        Exp_tables.print_analysis
-          (Exp_tables.run_analysis ?measured:!fig5
-             ~profile:Host_profile.alpha400 ~packet:32768 ())
-    | "hol" -> Exp_hol.print (Exp_hol.run ~seed:42 ())
-    | "alignment" -> Exp_extras.print_alignment ()
-    | "pincache" -> Exp_extras.print_pin_cache ()
-    | "autodma" -> Exp_extras.print_autodma_sweep ()
-    | "smallwrite" -> Exp_extras.print_small_write_policies ()
-    | "interop" -> Exp_extras.print_interop ()
-    | "incast" ->
-        Exp_incast.print (Exp_incast.run ~mode:Stack_mode.Unmodified ());
-        Exp_incast.print (Exp_incast.run ~mode:Stack_mode.Single_copy ())
-    | "allpairs" -> Exp_incast.print_all_pairs (Exp_incast.run_all_pairs ())
-    | "scaling" -> Exp_scaling.print (Exp_scaling.run ())
-    | "netmem" -> Exp_netmem.print (Exp_netmem.run ())
-    | "serverapi" -> Exp_serverapi.print (Exp_serverapi.run ())
-    | _ -> assert false
-  in
-  List.iter run (List.concat_map expand targets)
+  match
+    Experiments.select Experiments.all
+      (if targets = [] then [ "paper" ] else targets)
+  with
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+  | Ok targets -> List.iter (fun (_, run) -> run ()) targets
 
 let reproduce_cmd =
   let targets =
@@ -78,31 +30,6 @@ let reproduce_cmd =
        ~doc:"Regenerate the paper's tables and figures (see bench/main.exe \
              for the same functionality plus microbenchmarks)")
     Term.(const reproduce $ targets)
-
-(* ---------------- ttcp ---------------- *)
-
-let ttcp mode_s wsize nbufs =
-  let mode =
-    if mode_s = "unmodified" then Stack_mode.Unmodified
-    else Stack_mode.Single_copy
-  in
-  let tb = Testbed.create ~mode () in
-  let r = Ttcp.run ~tb ~wsize ~total:(wsize * nbufs) () in
-  Printf.printf "%d bytes, %s stack: %.1f Mbit/s; sender util %.3f (eff %.1f)\n"
-    (wsize * nbufs) (Stack_mode.to_string mode)
-    r.Ttcp.sender.Measurement.throughput_mbit
-    r.Ttcp.sender.Measurement.utilization
-    r.Ttcp.sender.Measurement.efficiency_mbit
-
-let ttcp_cmd =
-  let mode =
-    Arg.(value & opt string "single-copy" & info [ "mode" ] ~docv:"MODE")
-  in
-  let wsize = Arg.(value & opt int 65536 & info [ "l" ] ~docv:"BYTES") in
-  let nbufs = Arg.(value & opt int 64 & info [ "n" ] ~docv:"N") in
-  Cmd.v
-    (Cmd.info "ttcp" ~doc:"One ttcp run on the simulated testbed")
-    Term.(const ttcp $ mode $ wsize $ nbufs)
 
 (* ---------------- ping ---------------- *)
 
@@ -162,12 +89,14 @@ let inventory () =
      assembly,\n\
     \            Table-1 taxonomy, the two-host testbed\n\
     \  apps      ttcp + util methodology, raw HIPPI, in-kernel apps\n\
-    \  harness   experiment definitions for every table and figure\n\n\
+    \  harness   experiment definitions for every table and figure, and\n\
+    \            the Experiments registry both front ends dispatch from\n\n\
      Entry points:\n\
     \  dune runtest                 the full test suite\n\
     \  dune exec bench/main.exe     every table + figure + microbenchmarks\n\
+    \  nectar reproduce [TARGET...] tables and figures (default: paper)\n\
     \  dune exec examples/...       quickstart, ttcp_cli, file_server,\n\
-    \                               udp_stream, router\n"
+    \                               udp_stream, router, traceroute\n"
 
 let inventory_cmd =
   Cmd.v (Cmd.info "inventory" ~doc:"What is in this reproduction")
@@ -180,4 +109,4 @@ let () =
        (Cmd.group ~default
           (Cmd.info "nectar" ~version:"1.0"
              ~doc:"SIGCOMM '95 outboard buffering & checksumming, simulated")
-          [ reproduce_cmd; ttcp_cmd; ping_cmd; inventory_cmd ]))
+          [ reproduce_cmd; ping_cmd; inventory_cmd ]))

@@ -664,8 +664,6 @@ let rx_free t pkt = Netmem.free t.mem pkt
 let stats t = t.s
 
 let bus_busy_time t = Resource.busy_time t.bus
-let rx_dma_busy_time t = Resource.busy_time t.rx_dma
-let copyout_busy_time t = Resource.busy_time t.copyout
 
 let rx_pipe_stats t =
   {

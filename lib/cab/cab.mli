@@ -283,12 +283,6 @@ val pp_stats : Format.formatter -> stats -> unit
 val bus_busy_time : t -> Simtime.t
 (** Cumulative tenancy of the tx SDMA channel. *)
 
-val rx_dma_busy_time : t -> Simtime.t
-(** Cumulative tenancy of the rx auto-DMA/verify engine. *)
-
-val copyout_busy_time : t -> Simtime.t
-(** Cumulative tenancy of the copy-out engine. *)
-
 (** Receive-pipeline counters: copy-out engine occupancy and its overlap
     with the auto-DMA/verify engine. *)
 type rx_pipe_stats = {

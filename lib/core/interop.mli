@@ -38,8 +38,3 @@ val conversions : unit -> int
 (** Global count of flatten conversions performed (for tests/benches). *)
 
 val wcab_conversions : unit -> int
-
-val csum_materializations : unit -> int
-(** Checksums materialized in software by {!flatten_for_legacy}. *)
-
-val reset_counters : unit -> unit

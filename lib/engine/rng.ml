@@ -36,15 +36,3 @@ let exponential t ~mean =
   (* Avoid log 0. *)
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
-
-let fill_bytes t buf =
-  let n = Bytes.length buf in
-  let i = ref 0 in
-  while !i + 8 <= n do
-    Bytes.set_int64_le buf !i (int64 t);
-    i := !i + 8
-  done;
-  while !i < n do
-    Bytes.set_uint8 buf !i (int t 256);
-    incr i
-  done

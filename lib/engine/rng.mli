@@ -23,6 +23,3 @@ val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean. *)
-
-val fill_bytes : t -> Bytes.t -> unit
-(** Fills a buffer with pseudo-random bytes (used for payload patterns). *)

@@ -122,16 +122,6 @@ let rearm t (tm : handle) delay = rearm_at t tm (Simtime.add t.clock delay)
 let stop t (tm : handle) = disarm t tm
 let armed (tm : handle) = tm.Tw.where <> Tw.w_none
 
-let dbg_handle (tm : handle) =
-  let where =
-    if tm.Tw.where = Tw.w_none then "idle"
-    else if tm.Tw.where = Tw.w_heap then "heap"
-    else if tm.Tw.where = Tw.w_ready then "ready"
-    else Printf.sprintf "L%d" tm.Tw.where
-  in
-  Printf.sprintf "%s@%d seq=%d%s" where tm.Tw.deadline tm.Tw.seq
-    (if tm.Tw.cancelled then " cancelled" else "")
-
 let periodic t ~every fn =
   let tm = Tw.alloc t.wheel (fun () -> ()) in
   (* Re-arm before running [fn] so a [stop] from inside the handler

@@ -78,10 +78,6 @@ val stop : t -> handle -> unit
 val armed : handle -> bool
 (** True while a deadline is pending (armed and not yet fired). *)
 
-val dbg_handle : handle -> string
-(** Debug: where the timer lives (heap/ready/level-N/idle), its deadline
-    and seq — for post-mortem dumps of stuck timers. *)
-
 val periodic : t -> every:Simtime.t -> (unit -> unit) -> handle
 (** A self-re-arming timer: fires every [every], starting one period
     from now.  {!stop} pauses it; {!rearm} restarts it.  The re-arm

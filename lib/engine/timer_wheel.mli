@@ -46,7 +46,8 @@ type timer = {
   mutable deadline : Simtime.t;  (** exact expiry, not tick-rounded *)
   mutable seq : int;  (** scheduler-wide FIFO tiebreak, set by [Sim] *)
   mutable where : int;
-      (** location: {!w_none}, {!w_heap}, a wheel level, or {!w_ready} *)
+      (** location: {!w_none}, {!w_heap}, a wheel level, or the expired
+          list waiting for [Sim] to fire it *)
   mutable cancelled : bool;  (** user-visible cancel flag (see [Sim]) *)
   mutable pooled : bool;  (** allocated from the free list *)
   mutable prev : timer;  (** intrusive dlist; self-linked when unlinked *)
@@ -58,9 +59,6 @@ val w_none : int
 
 val w_heap : int
 (** Resident in the caller's event heap (near/far reject fallback). *)
-
-val w_ready : int
-(** In the sorted expired list, waiting for [Sim] to fire it. *)
 
 type t
 

@@ -47,7 +47,6 @@ let now t = Sim.now t.sim
 let shard_count t = Array.length t.shards
 let shard t i = t.shards.(i)
 let shards t = t.shards
-let current_shard t = t.cur_shard
 
 (* Entering a shard context redirects the process-global pool free
    lists too, so allocations made while that shard's code runs come

@@ -285,13 +285,8 @@ module Pool : sig
 
   val shard_count : unit -> int
 
-  val free_small_local : unit -> int
-  val free_clusters_local : unit -> int
-  (** Buffers parked across all per-shard free lists. *)
-
   val hwm : unit -> int
-  val hwm_clusters : unit -> int
-  (** High-water marks of live mbufs / live clusters. *)
+  (** High-water mark of live mbufs. *)
 
   val trim : unit -> int
   (** Drop both free lists; returns the number of 4K pages released. *)

@@ -35,9 +35,6 @@ val miss_count : t -> int
 val hit_rate : t -> float
 (** hits / (hits + misses), 0 when no requests yet. *)
 
-val free_bytes : t -> int
-(** Total bytes currently parked on free lists. *)
-
 val outstanding : t -> int
 (** [get]s minus [put]s — buffers currently in flight.  Counted even when
     a [put] drops the buffer (full class), so a steady-state datapath
@@ -60,10 +57,6 @@ val set_current : t -> int -> unit
     unsharded mode or out of range. *)
 
 val shard_count : t -> int
-
-val local_free_bytes : t -> int
-(** Bytes parked across all per-shard free lists ([free_bytes] includes
-    them). *)
 
 val shared : t
 (** Process-wide instance used by the simulator datapath (network

@@ -76,16 +76,11 @@ val occurrences : snapshot -> site -> op -> int
 val copied_bytes : snapshot -> site -> int
 (** Copy + Copy_sum bytes at a site. *)
 
-val summed_bytes : snapshot -> site -> int
-(** Sum + Copy_sum bytes at a site. *)
-
 (** Derived per-direction aggregates. "Host" excludes [Drv_tx_header]
     (protocol headers, not payload). *)
 
 val host_tx_copy_bytes : snapshot -> int
-val host_rx_copy_bytes : snapshot -> int
 val host_tx_sum_bytes : snapshot -> int
-val host_rx_sum_bytes : snapshot -> int
 
 val tx_copies_per_byte : snapshot -> payload:int -> float
 (** (host tx copies + [Sdma_payload] DMA) / payload — 1.0 on the

@@ -68,7 +68,6 @@ let acc_push t v =
   end
 
 let acc_pop t = Queue.take_opt t.acc
-let acc_iter f t = Queue.iter f t.acc
 
 let acc_drain f t =
   let q = Queue.create () in

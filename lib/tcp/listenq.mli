@@ -44,7 +44,6 @@ val acc_push : ('h, 'a) t -> 'a -> bool
 (** [false] when the queue is at [backlog] (element not queued). *)
 
 val acc_pop : ('h, 'a) t -> 'a option
-val acc_iter : ('a -> unit) -> ('h, 'a) t -> unit
 
 val acc_drain : ('a -> unit) -> ('h, 'a) t -> unit
 (** Remove every queued element, calling [f] on each (listener close). *)

@@ -340,20 +340,17 @@ let state pcb = pcb.st
 let mss pcb = pcb.mss_val
 let local_port pcb = pcb.lport
 let remote pcb = (pcb.raddr, pcb.rport)
-let snd_queued pcb = Tcp_sendq.length pcb.sendq
 let snd_space pcb = Tcp_sendq.space pcb.sendq
 let pcb_stats pcb = pcb.stats
 let pcb_config pcb = pcb.tcp.cfg
 let pcb_host pcb = pcb.tcp.hst
 let remote_iface pcb =
   Option.map fst (Ipv4.route_for pcb.tcp.ip ~dst:pcb.raddr)
-let srtt pcb = pcb.srtt
 let snd_wnd pcb = pcb.snd_wnd
 let pcb_shard pcb = pcb.shard
 
 let flows_per_shard t = Array.map Flowtab.length t.tabs
 let active_flows t = Array.fold_left (fun a tab -> a + Flowtab.length tab) 0 t.tabs
-let iter_flows t f = Array.iter (fun tab -> Flowtab.iter f tab) t.tabs
 
 let set_pressure_fn tcp f = tcp.pressure_fn <- f
 
@@ -386,18 +383,6 @@ let set_rx_cost_handler pcb f = pcb.on_rx_cost <- Some f
 let post_rx_cost pcb ~bucket ~uio_us ~copy_us =
   pcb.rx_cost_pending <-
     Some (Tcp_header.Rx_cost { bucket; uio_us; copy_us })
-
-let pp_pcb fmt pcb =
-  Format.fprintf fmt
-    "tcp[%a:%d->%a:%d %s una=%d nxt=%d max=%d q=%d wnd=%d shift=%d dup=%d \
-     rec=%d pump=%b rexmt=%s persist=%s keep=%s]"
-    Inaddr.pp pcb.local_addr pcb.lport Inaddr.pp pcb.raddr pcb.rport
-    (state_to_string pcb.st) pcb.snd_una pcb.snd_nxt pcb.snd_max
-    (Tcp_sendq.length pcb.sendq)
-    pcb.snd_wnd pcb.rexmt_shift pcb.dupacks pcb.recover pcb.pumping
-    (Sim.dbg_handle pcb.rexmt_timer)
-    (Sim.dbg_handle pcb.persist_timer)
-    (Sim.dbg_handle pcb.keep_timer)
 
 (* ---------- timers ---------- *)
 

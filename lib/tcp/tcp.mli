@@ -43,8 +43,6 @@ type state =
   | Last_ack
   | Time_wait
 
-val state_to_string : state -> string
-
 type config = {
   mss_cap : int option;  (** upper bound on negotiated MSS *)
   snd_buf : int;  (** send-buffer high-water mark (bytes) *)
@@ -188,8 +186,6 @@ val remote : pcb -> Inaddr.t * int
 val snd_space : pcb -> int
 (** Free bytes in the send buffer. *)
 
-val snd_queued : pcb -> int
-
 val sosend_append : pcb -> proc:string -> Mbuf.t -> (unit, string) result
 (** Append a chain (regular or M_UIO) to the send queue and pump output in
     the context of [proc].  The caller must respect {!snd_space}. *)
@@ -265,7 +261,6 @@ val remote_iface : pcb -> Netif.t option
     consults it for single-copy path selection (§4.1: only the network
     layer knows). *)
 
-val srtt : pcb -> Simtime.t
 val snd_wnd : pcb -> int
 
 val pcb_shard : pcb -> int
@@ -279,9 +274,4 @@ val active_flows : t -> int
 val flows_per_shard : t -> int array
 (** Per-shard demux-table occupancy. *)
 
-val iter_flows : t -> (pcb -> unit) -> unit
-(** Visit every open connection (includes time-wait residents); do not
-    add or remove flows from inside the callback. *)
-
-val pp_pcb : Format.formatter -> pcb -> unit
 val pp_stats : Format.formatter -> pcb_stats -> unit

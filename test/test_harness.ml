@@ -206,6 +206,46 @@ let test_crossover_detector () =
     "ratio" (300. /. 175.)
     (Exp_figures.large_write_efficiency_ratio report)
 
+(* ---------- the experiment registry ---------- *)
+
+(* The targets DESIGN.md §4's table names. *)
+let design_targets =
+  [ "table1"; "table2"; "fig5"; "fig6"; "analysis"; "hol"; "alignment";
+    "pincache"; "autodma"; "smallwrite"; "interop"; "scaling"; "netmem";
+    "incast"; "allpairs"; "serverapi"; "rpc"; "window" ]
+
+let names = List.map fst Experiments.all
+
+let test_registry_names_unique () =
+  check_int "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+let test_registry_paper_subset () =
+  check_bool "paper is non-empty" true (Experiments.paper <> []);
+  List.iter
+    (fun n -> check_bool (n ^ " is a target") true (List.mem n names))
+    Experiments.paper
+
+let selected ts =
+  match Experiments.select Experiments.all ts with
+  | Ok es -> List.map fst es
+  | Error msg -> Alcotest.fail msg
+
+let test_registry_design_targets () =
+  List.iter
+    (fun t -> Alcotest.(check (list string)) t [ t ] (selected [ t ]))
+    design_targets;
+  Alcotest.(check (list string)) "paper group" Experiments.paper
+    (selected [ "paper" ]);
+  Alcotest.(check (list string)) "all group" names (selected [ "all" ])
+
+let test_registry_rejects_unknown () =
+  match Experiments.select Experiments.all [ "table1"; "tabel2" ] with
+  | Ok _ -> Alcotest.fail "unknown target accepted"
+  | Error msg ->
+      check_bool "names the unknown target" true (contains msg "\"tabel2\"");
+      check_bool "lists the known ones" true (contains msg "table2")
+
 let () =
   Alcotest.run "harness"
     [
@@ -229,5 +269,14 @@ let () =
           Alcotest.test_case "allpairs HOL gap" `Slow test_allpairs_hol_gap;
           Alcotest.test_case "crossover detector" `Quick
             test_crossover_detector;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "paper subset" `Quick test_registry_paper_subset;
+          Alcotest.test_case "DESIGN.md targets resolve" `Quick
+            test_registry_design_targets;
+          Alcotest.test_case "unknown rejected" `Quick
+            test_registry_rejects_unknown;
         ] );
     ]

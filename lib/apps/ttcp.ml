@@ -17,12 +17,13 @@ type result = {
 (* ttcp's own loop overhead per write/read call, charged as user time. *)
 let loop_cost_us = 5.
 
+(* Writes the sender keeps in flight (double buffering). *)
+let pipeline_writes = 2
+
 let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
-    ?(verify = true) ?(port = 5001) ?(pipeline_writes = 2) () =
+    ?(verify = true) ?(port = 5001) () =
   if total mod wsize <> 0 then
     invalid_arg "Ttcp.run: total must be a multiple of wsize";
-  if pipeline_writes < 1 then
-    invalid_arg "Ttcp.run: pipeline_writes must be at least 1";
   let paths =
     if adaptive then
       { Socket.default_paths with Socket.force_uio = false; adaptive = true }
@@ -175,7 +176,7 @@ type parallel_result = {
 }
 
 let run_parallel ~tb ~flows ~wsize ~total ?(force_uio = true)
-    ?(verify = true) ?(base_port = 5001) ?(pipeline_writes = 2) () =
+    ?(verify = true) ?(base_port = 5001) () =
   if total mod wsize <> 0 then
     invalid_arg "Ttcp.run_parallel: total must be a multiple of wsize";
   if flows < 1 then invalid_arg "Ttcp.run_parallel: flows must be >= 1";

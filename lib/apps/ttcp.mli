@@ -1,10 +1,10 @@
 (** The ttcp bulk-throughput benchmark (§7.1).
 
     Sender writes [total] bytes as [wsize]-byte socket writes cycling
-    through a small ring of identically-filled buffers (see
-    [pipeline_writes] below); receiver reads [wsize]-byte chunks into one
-    reused buffer.  Both nodes run the util idle-soaker so utilization
-    can be computed with the paper's formula ({!Measurement}).
+    through two identically-filled buffers (see {!run}); receiver reads
+    [wsize]-byte chunks into one reused buffer.  Both nodes run the util
+    idle-soaker so utilization can be computed with the paper's formula
+    ({!Measurement}).
 
     The run completes when the receiver has consumed every byte; results
     cover both directions' hosts. *)
@@ -39,7 +39,6 @@ val run :
   ?adaptive:bool ->
   ?verify:bool ->
   ?port:int ->
-  ?pipeline_writes:int ->
   unit ->
   result
 (** Builds the workload on the testbed and runs the simulation to
@@ -49,14 +48,13 @@ val run :
     false) overrides it: sends route through a per-socket {!Path_policy}
     (size / alignment / pin-warmth, online cutover) and the sender's
     routing counters are reported in [sender_policy].
-    [pipeline_writes] (default 2) is how many writes the sender keeps in
-    flight, double-buffer style: UIO copy semantics block each write
-    until the adaptor has pulled its bytes, so a single reused buffer
-    would drain the socket send queue between writes and idle the DMA
-    engine for the syscall + per-packet setup of every write.  Each
-    buffer is still strictly reused only after its own write returns.
-    Raises [Failure] if the transfer does not finish within simulated 10
-    minutes. *)
+    The sender keeps two writes in flight, double-buffer style: UIO copy
+    semantics block each write until the adaptor has pulled its bytes,
+    so a single reused buffer would drain the socket send queue between
+    writes and idle the DMA engine for the syscall + per-packet setup of
+    every write.  Each buffer is still strictly reused only after its own
+    write returns.  Raises [Failure] if the transfer does not finish
+    within simulated 10 minutes. *)
 
 type parallel_result = {
   p_flows : int;
@@ -75,7 +73,6 @@ val run_parallel :
   ?force_uio:bool ->
   ?verify:bool ->
   ?base_port:int ->
-  ?pipeline_writes:int ->
   unit ->
   parallel_result
 (** [flows] concurrent ttcp streams (ports [base_port] ..

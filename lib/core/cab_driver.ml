@@ -30,7 +30,6 @@ type t = {
   (* Recovery plane (all inert when [watchdog = None]). *)
   watchdog : Simtime.t option;  (* lost-interrupt poll interval *)
   sdma_timeout : Simtime.t;  (* base completion timeout, doubled per retry *)
-  max_sdma_retries : int;
   mutable inflight : int;  (* watched posts not yet completed *)
   poll_timer : Sim.handle;  (* reusable lost-interrupt poll timer *)
   mutable watch_key : int;
@@ -87,6 +86,8 @@ let stats t = t.s
    calls {!Cab.poll}, which schedules a delivery burst for any stranded
    notifications, and stays armed while watched posts are in flight or
    events are pending. *)
+
+let max_sdma_retries = 3
 
 let backoff t attempt =
   Simtime.us
@@ -161,7 +162,7 @@ let watched_post t netpkt ~post ~on_done =
             (Sim.after (Cab.sim t.cab) (backoff t attempt) (fun () ->
                if (not !completed) && !gen = g then
                  if Cab.stalled_posts t.cab netpkt > 0 then
-                   if attempt >= t.max_sdma_retries then driver_reset t
+                   if attempt >= max_sdma_retries then driver_reset t
                    else begin
                      t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
                      Cab.clear_stall t.cab netpkt;
@@ -730,11 +731,7 @@ let interrupt_batch t evs =
 (* ---------- attach ---------- *)
 
 let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog
-    ?(sdma_timeout = Simtime.us 1000.) ?(max_sdma_retries = 3)
-    ?rx_pipe_depth () =
-  (match rx_pipe_depth with
-  | Some d -> Cab.set_rx_pipe_depth cab d
-  | None -> ());
+    ?(sdma_timeout = Simtime.us 1000.) () =
   let t =
     {
       host;
@@ -744,7 +741,6 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog
       live_outboard = Hashtbl.create 64;
       watchdog;
       sdma_timeout;
-      max_sdma_retries;
       inflight = 0;
       poll_timer = Sim.timer (Cab.sim cab) ignore;
       watch_key = 0;

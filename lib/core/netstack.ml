@@ -44,10 +44,10 @@ let classify_rx (ev : Cab.intr) =
         Some (Flow_hash.hash ~raddr ~lport ~rport)
       else None
 
-let attach_cab t ~cab ~addr ?mtu ?watchdog ?sdma_timeout ?rx_pipe_depth () =
+let attach_cab t ~cab ~addr ?mtu ?watchdog ?sdma_timeout () =
   let drv =
     Cab_driver.attach ~host:t.host ~ip:t.ip ~cab ~addr ?mtu ~mode:t.mode
-      ?watchdog ?sdma_timeout ?rx_pipe_depth ()
+      ?watchdog ?sdma_timeout ()
   in
   if Host.shard_count t.host > 1 then Cab_driver.set_steer drv classify_rx;
   Routing.add_route (Ipv4.routing t.ip) ~prefix:(subnet_of addr) ~len:24

@@ -34,7 +34,6 @@ val attach_cab :
   ?mtu:int ->
   ?watchdog:Simtime.t ->
   ?sdma_timeout:Simtime.t ->
-  ?rx_pipe_depth:int ->
   unit ->
   Cab_driver.t
 (** Attaches the CAB and routes [addr]/24 over it.  [watchdog] /

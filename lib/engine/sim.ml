@@ -41,7 +41,7 @@ let register_obs t =
   Obs.table ~section:"sim" ~name:"wheel_levels" (fun () ->
       let b = Buffer.create 64 in
       Buffer.add_char b '[';
-      for l = 0 to Tw.levels t.wheel - 1 do
+      for l = 0 to Tw.levels - 1 do
         if l > 0 then Buffer.add_char b ',';
         Buffer.add_string b (string_of_int (Tw.level_count t.wheel l))
       done;
@@ -160,8 +160,8 @@ let heap_next t =
 
 (* Fire every event at [time] with seq < [seq_limit], lowest seq first,
    merging the wheel's ready list with the heap.  Events the callbacks
-   schedule get seq >= seq_limit and wait for the next batch — exactly
-   the old pop_ready snapshot semantics. *)
+   schedule get seq >= seq_limit and wait for the next batch: the batch
+   is a snapshot taken when it starts. *)
 let drain_batch t ~time ~seq_limit ~fired =
   let continue = ref true in
   while !continue do

@@ -1,5 +1,5 @@
 (* Hierarchical timing wheel.  See the .mli for the design overview.
-   Layout: [levels] arrays of [2^slot_bits] sentinel-headed intrusive
+   Layout: [nlevels] arrays of [2^slot_bits] sentinel-headed intrusive
    dlists; level l spans ticks of width 2^(l*slot_bits) relative to the
    cursor [now_tick] (a tick is 2^tick_bits ns).  The cursor only moves
    forward; slots strictly below it are empty.  Expiry sorts the slot
@@ -34,12 +34,17 @@ let make ~fn =
 
 let sentinel () = make ~fn:no_fn
 
+(* A tick is 512 ns; 3 levels of 256 slots give a horizon of 2^33 ns
+   (about 8.6 s). *)
+let tick_bits = 9
+let slot_bits = 8
+let nlevels = 3
+let nslots = 1 lsl slot_bits
+let mask = nslots - 1
+let horizon_ticks = 1 lsl (nlevels * slot_bits)
+let prealloc = 64
+
 type t = {
-  tick_bits : int;
-  slot_bits : int;
-  nlevels : int;
-  mask : int;                       (* 2^slot_bits - 1 *)
-  horizon_ticks : int;              (* 2^(nlevels * slot_bits) *)
   slots : timer array array;        (* nlevels x 2^slot_bits sentinels *)
   counts : int array;               (* live timers per level *)
   occ : int array;                  (* level-0 occupancy bitmap *)
@@ -59,18 +64,12 @@ type t = {
   mutable n_steps : int;            (* [advance] loop iterations *)
 }
 
-let create ?(tick_bits = 9) ?(slot_bits = 8) ?(levels = 3) ?(prealloc = 64)
-    () =
-  if levels < 1 || levels > 4 then invalid_arg "Timer_wheel.create: levels";
-  if tick_bits + levels * slot_bits > 61 then
-    invalid_arg "Timer_wheel.create: horizon exceeds int range";
-  let nslots = 1 lsl slot_bits in
+let create () =
   let nil = sentinel () in
   let t =
-    { tick_bits; slot_bits; nlevels = levels; mask = nslots - 1;
-      horizon_ticks = 1 lsl (levels * slot_bits);
-      slots = Array.init levels (fun _ -> Array.init nslots (fun _ -> sentinel ()));
-      counts = Array.make levels 0;
+    { slots =
+        Array.init nlevels (fun _ -> Array.init nslots (fun _ -> sentinel ()));
+      counts = Array.make nlevels 0;
       occ = Array.make ((nslots + 31) lsr 5) 0;
       ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
       nil; free = nil; n_free = 0;
@@ -130,7 +129,7 @@ let append_before sent tm =
 (* Place [tm] into the slot its deadline selects, given the current
    cursor.  Pre: 0 <= rel < horizon_ticks.  Does not touch n_pending. *)
 let rec level_for t rel l =
-  if rel asr ((l + 1) * t.slot_bits) = 0 then l else level_for t rel (l + 1)
+  if rel asr ((l + 1) * slot_bits) = 0 then l else level_for t rel (l + 1)
 
 (* Lowest set bit of a non-zero 32-bit word, by de Bruijn multiply. *)
 let debruijn =
@@ -151,10 +150,10 @@ let next_occupied t i =
   scan t.occ w (t.occ.(w) land (-1 lsl (i land 31)))
 
 let place t tm =
-  let dtick = tm.deadline asr t.tick_bits in
+  let dtick = tm.deadline asr tick_bits in
   let rel = dtick - t.now_tick in
   let level = level_for t rel 0 in
-  let idx = (dtick asr (level * t.slot_bits)) land t.mask in
+  let idx = (dtick asr (level * slot_bits)) land mask in
   if level = 0 then
     t.occ.(idx lsr 5) <- t.occ.(idx lsr 5) lor (1 lsl (idx land 31));
   append_before t.slots.(level).(idx) tm;
@@ -162,14 +161,14 @@ let place t tm =
   tm.where <- level
 
 let try_schedule t ~now tm =
-  if t.n_pending = 0 then t.now_tick <- now asr t.tick_bits;
-  let rel = (tm.deadline asr t.tick_bits) - t.now_tick in
+  if t.n_pending = 0 then t.now_tick <- now asr tick_bits;
+  let rel = (tm.deadline asr tick_bits) - t.now_tick in
   if rel < 0 then begin
     (* Inside the swept window (e.g. a zero-delay event, or a deadline
        in the slot already sorted into [ready]). *)
     t.n_near <- t.n_near + 1;
     false
-  end else if rel >= t.horizon_ticks then begin
+  end else if rel >= horizon_ticks then begin
     t.n_far <- t.n_far + 1;
     false
   end else begin
@@ -187,7 +186,7 @@ let cancel t tm =
     t.n_ready <- t.n_ready - 1;
     t.n_pending <- t.n_pending - 1;
     t.n_cancels <- t.n_cancels + 1
-  end else if w >= 0 && w < t.nlevels then begin
+  end else if w >= 0 && w < nlevels then begin
     unlink tm;
     tm.where <- w_none;
     t.counts.(w) <- t.counts.(w) - 1;
@@ -199,7 +198,7 @@ let cancel t tm =
    Every timer there has rel < 2^(l*slot_bits), so [place] puts it at a
    strictly lower level (or, when rel = 0, level 0 at the cursor). *)
 let cascade t l =
-  let idx = (t.now_tick asr (l * t.slot_bits)) land t.mask in
+  let idx = (t.now_tick asr (l * slot_bits)) land mask in
   let s = t.slots.(l).(idx) in
   while s.next != s do
     let tm = s.next in
@@ -216,7 +215,7 @@ let by_deadline_seq a b =
 (* Sort the level-0 slot under the cursor into [ready].  A slot usually
    holds one timer; that case moves it without allocating. *)
 let collect t =
-  let s = t.slots.(0).(t.now_tick land t.mask) in
+  let s = t.slots.(0).(t.now_tick land mask) in
   let first = s.next in
   if first.next == s then begin
     unlink first;
@@ -253,17 +252,17 @@ let collect t =
 let advance t =
   while t.n_ready = 0 do
     t.n_steps <- t.n_steps + 1;
-    for l = t.nlevels - 1 downto 1 do
-      if t.now_tick land ((1 lsl (l * t.slot_bits)) - 1) = 0 then cascade t l
+    for l = nlevels - 1 downto 1 do
+      if t.now_tick land ((1 lsl (l * slot_bits)) - 1) = 0 then cascade t l
     done;
     if t.counts.(0) > 0 then begin
-      let i = next_occupied t (t.now_tick land t.mask) in
+      let i = next_occupied t (t.now_tick land mask) in
       if i < 0 then
         (* The rest of this rotation is empty: the level-0 timers wrap
            past the next level-1 boundary, which cascades first. *)
-        t.now_tick <- (t.now_tick lor t.mask) + 1
+        t.now_tick <- (t.now_tick lor mask) + 1
       else begin
-        t.now_tick <- t.now_tick - (t.now_tick land t.mask) + i;
+        t.now_tick <- t.now_tick - (t.now_tick land mask) + i;
         t.occ.(i lsr 5) <- t.occ.(i lsr 5) land lnot (1 lsl (i land 31));
         (* A stale bit (every timer cancelled) just steps past the slot.
            A collected slot is consumed: deadlines at this tick now
@@ -278,8 +277,8 @@ let advance t =
       (* Level 0 empty: jump to the next boundary of the lowest occupied
          level.  One boundary at a time, so no cascade is skipped. *)
       let l = ref 1 in
-      while !l < t.nlevels - 1 && t.counts.(!l) = 0 do incr l done;
-      let span = (1 lsl (!l * t.slot_bits)) - 1 in
+      while !l < nlevels - 1 && t.counts.(!l) = 0 do incr l done;
+      let span = (1 lsl (!l * slot_bits)) - 1 in
       t.now_tick <- (t.now_tick lor span) + 1
     end
   done
@@ -309,11 +308,10 @@ let pop_expired t =
   t.n_fired <- t.n_fired + 1;
   tm
 
-let horizon t = t.horizon_ticks lsl t.tick_bits
 let pending t = t.n_pending
 let ready_len t = t.n_ready
 let level_count t l = t.counts.(l)
-let levels t = t.nlevels
+let levels = nlevels
 let free_len t = t.n_free
 let scheduled t = t.n_scheduled
 let fired t = t.n_fired
@@ -329,22 +327,22 @@ let dbg_locate t tm =
   let b = Buffer.create 128 in
   Buffer.add_string b
     (Printf.sprintf "cursor=%d (t=%dns) pending=%d ready=%d counts=[%s] "
-       t.now_tick (t.now_tick lsl t.tick_bits) t.n_pending t.n_ready
+       t.now_tick (t.now_tick lsl tick_bits) t.n_pending t.n_ready
        (String.concat ";" (Array.to_list (Array.map string_of_int t.counts))));
   let found = ref false in
-  for l = 0 to t.nlevels - 1 do
-    for i = 0 to t.mask do
+  for l = 0 to nlevels - 1 do
+    for i = 0 to mask do
       let s = t.slots.(l).(i) in
       let cur = ref s.next in
       while !cur != s do
         if !cur == tm then begin
           found := true;
-          let dtick = tm.deadline asr t.tick_bits in
+          let dtick = tm.deadline asr tick_bits in
           Buffer.add_string b
             (Printf.sprintf
                "linked L%d[%d] dtick=%d rel=%d place_idx=%d" l i dtick
                (dtick - t.now_tick)
-               ((dtick asr (l * t.slot_bits)) land t.mask))
+               ((dtick asr (l * slot_bits)) land mask))
         end;
         cur := !cur.next
       done

@@ -7,8 +7,9 @@
     tombstone that stays in the heap until its deadline when cancelled.
     The wheel makes all three hot operations O(1):
 
-    - {b schedule}: hash the deadline into a slot (2–3 levels of
-      power-of-two slots, far deadlines in coarser levels) and append to
+    - {b schedule}: hash the deadline into a slot (3 levels of 256
+      slots over 512 ns ticks, far deadlines in coarser levels, a
+      horizon of about 8.6 s) and append to
       the slot's intrusive doubly-linked list;
     - {b cancel}: unlink the record from whatever list holds it — the
       timer is gone immediately, no tombstone;
@@ -62,14 +63,8 @@ val w_heap : int
 
 type t
 
-val create :
-  ?tick_bits:int -> ?slot_bits:int -> ?levels:int -> ?prealloc:int ->
-  unit -> t
-(** [tick_bits] (default 9): level-0 granularity is [2^tick_bits] ns.
-    [slot_bits] (default 8): [2^slot_bits] slots per level.
-    [levels] (default 3): horizon is [2^(tick_bits + levels*slot_bits)] ns
-    (≈ 8.6 s with the defaults).
-    [prealloc] (default 64): timer records built up front on the free
+val create : unit -> t
+(** An empty wheel with 64 timer records preallocated on the free
     list. *)
 
 val make : fn:(unit -> unit) -> timer
@@ -110,9 +105,6 @@ val pop_expired : t -> timer
 (** Unlink and return the ready-list head (caller checked
     {!expired_seq}). *)
 
-val horizon : t -> Simtime.t
-(** Width of the schedulable window, in ns. *)
-
 (** {2 Introspection (Obs export, tests)} *)
 
 val pending : t -> int
@@ -120,7 +112,7 @@ val pending : t -> int
 
 val ready_len : t -> int
 val level_count : t -> int -> int
-val levels : t -> int
+val levels : int
 val free_len : t -> int
 val scheduled : t -> int
 val fired : t -> int

@@ -13,7 +13,7 @@
     completed send reports its elapsed (simulated) cost back through
     {!observe}; the cutover is re-derived as the smallest bucket where
     the single-copy path is no more expensive than the copy path,
-    clamped to [\[min_cutover, max_cutover\]].  A periodic exploration
+    clamped to [\[min_cutover, 1 MByte\]].  A periodic exploration
     probe sends an occasional message down the road not taken so both
     tables stay populated.
 
@@ -48,44 +48,37 @@ type reason =
           the early exit, skipping exploration and decision bookkeeping.
           Callers should not {!observe} these sends. *)
 
-type stats = {
-  uio_routed : int;
-  copy_routed : int;
-  unaligned : int;
-  below_cutover : int;
-  cold_pin : int;
-  above_cutover : int;
-  explored : int;
-  penalized : int;
-  trivial : int;  (** decisions taken by the small-send early exit *)
-  uio_observed : int;  (** completed sends reported for the Uio path *)
-  copy_observed : int;
-  rx_uio_observed : int;  (** local receive-side copy-out cost samples *)
-  rx_copy_observed : int;
-  rx_feeds : int;  (** remote hints merged via {!feed_remote_rx} *)
-  cutover_bytes : int;  (** current online estimate *)
+type stats = private {
+  mutable uio_routed : int;
+  mutable copy_routed : int;
+  mutable unaligned : int;
+  mutable below_cutover : int;
+  mutable cold_pin : int;
+  mutable above_cutover : int;
+  mutable explored : int;
+  mutable penalized : int;
+  mutable trivial : int;  (** decisions taken by the small-send early exit *)
+  mutable uio_observed : int;
+      (** completed sends reported for the Uio path *)
+  mutable copy_observed : int;
+  mutable rx_uio_observed : int;
+      (** local receive-side copy-out cost samples *)
+  mutable rx_copy_observed : int;
+  mutable rx_feeds : int;  (** remote hints merged via {!feed_remote_rx} *)
+  mutable cutover_bytes : int;  (** current online estimate *)
 }
 
 type t
 
 val create :
-  ?cutover:int ->
-  ?min_cutover:int ->
-  ?max_cutover:int ->
-  ?cold_shift:int ->
-  ?explore_period:int ->
-  ?penalty_decay:float ->
-  unit ->
-  t
+  ?cutover:int -> ?min_cutover:int -> ?explore_period:int -> unit -> t
 (** [cutover] seeds the estimate (default 16384 — the static
-    [uio_threshold] the stack shipped with).  [cold_shift] raises the
-    effective threshold for pin-cold buffers to [cutover lsl cold_shift]
-    (default 1, i.e. 2x: a cold send must amortize pin+map on this one
-    transfer).  Every [explore_period]-th eligible decision (default 16;
-    [0] disables) is sent down the opposite path so the cost tables see
-    both sides.  [penalty_decay] (default 0.9, must be in (0, 1)) is the
-    per-decision multiplicative decay of the fault penalty (see
-    {!penalize}). *)
+    [uio_threshold] the stack shipped with); the estimate stays within
+    [\[min_cutover, 1 MByte\]] ([min_cutover] defaults to 1024).  Pin-cold
+    buffers face twice the threshold: a cold send must amortize pin+map
+    on this one transfer.  Every [explore_period]-th eligible decision
+    (default 16; [0] disables) is sent down the opposite path so the cost
+    tables see both sides. *)
 
 val decide : t -> len:int -> aligned:bool -> pin_warm:bool -> route * reason
 (** Route one send.  Unaligned buffers always take [Copy] — exploration
@@ -116,12 +109,11 @@ val rx_hint : t -> len:int -> int * int * int
 val cutover : t -> int
 (** The current cutover estimate in bytes. *)
 
-val penalize : ?factor:float -> t -> unit
-(** Device-fault feedback: multiply the penalty by [factor] (default 8,
-    capped at 64).  While the penalty is above 1 the effective Uio
-    threshold is scaled by it, steering traffic onto the copy path; the
-    penalty decays multiplicatively (by [penalty_decay]) on every
-    subsequent decision, so the cost spike ages out once the adaptor
+val penalize : t -> unit
+(** Device-fault feedback: multiply the penalty by 8 (capped at 64).
+    While the penalty is above 1 the effective Uio threshold is scaled by
+    it, steering traffic onto the copy path; the penalty decays
+    multiplicatively (by 0.9) on every subsequent decision, so the cost spike ages out once the adaptor
     behaves again.  Decisions deflected this way are counted under
     {!stats}[.penalized] and carry reason {!Penalized}. *)
 
@@ -129,10 +121,13 @@ val penalty : t -> float
 (** Current fault penalty (1.0 = healthy). *)
 
 val stats : t -> stats
+(** The live counters, bumped in place as the policy decides — not a
+    copy. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
-val register : ?section:string -> t -> unit
+val register : t -> unit
 (** Publish this policy's decision counters (as gauges over the live
     instance) and its EWMA cost tables (as a lazy JSON table) in the
-    {!Obs} registry under [section] (default ["path_policy"]); replaces
-    any previously registered policy. *)
+    {!Obs} registry under ["path_policy"]; replaces any previously
+    registered policy. *)

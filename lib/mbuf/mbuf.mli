@@ -249,7 +249,11 @@ val retain_storage : t -> unit -> unit
 
     Free lists of recycled [Internal]/[Cluster] buffers keep the
     steady-state datapath allocation-free.  Only exactly-[msize] /
-    [mclbytes] buffers are recycled; odd sizes are left to the GC. *)
+    [mclbytes] buffers are recycled; odd sizes are left to the GC.  The
+    pool is process-global with one free list per size class (at most
+    512 small cells and 2048 clusters), shared by every host and every
+    shard: a buffer freed on one shard's CPU is the next hit on any
+    other. *)
 
 module Pool : sig
   val allocated : unit -> int
@@ -269,21 +273,7 @@ module Pool : sig
 
   val free_small : unit -> int
   val free_clusters : unit -> int
-  (** Current global (spill) free-list depths. *)
-
-  val set_shard_count : int -> unit
-  (** Switch the pool between unsharded ([1], the default) and sharded
-      ([n > 1]) mode.  In sharded mode each shard owns a private free
-      list; the global lists become the spill pool.  Reconfiguring
-      spills all local free lists back into the global pool first.
-      Residency is timing-neutral for the simulation — only hit/spill
-      statistics depend on it. *)
-
-  val set_current : int -> unit
-  (** Select the shard whose free list subsequent [get]/[put] traffic
-      uses.  No-op in unsharded mode or out of range. *)
-
-  val shard_count : unit -> int
+  (** Current free-list depths. *)
 
   val hwm : unit -> int
   (** High-water mark of live mbufs. *)

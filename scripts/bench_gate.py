@@ -68,6 +68,7 @@ Usage: bench_gate.py BASELINE CURRENT [MICRO]
        bench_gate.py --server SERVER_JSON --budget-s SECONDS
 """
 
+import argparse
 import json
 import sys
 
@@ -603,18 +604,33 @@ def main(baseline_path, current_path, micro_path=None):
     print(f"\nbench gate ok ({len(bn) - 1} rows, warn threshold ±{TOLERANCE:.0%})")
 
 
+def parse_args(argv=None):
+    """The three usage forms in the module docstring: a positional
+    macro gate, or exactly one of --soak/--server with --budget-s."""
+    p = argparse.ArgumentParser(
+        description="Macro-bench, soak and server regression gates.",
+        usage=__doc__.split("Usage: ", 1)[1].rstrip(),
+    )
+    p.add_argument("paths", nargs="*", metavar="BASELINE CURRENT [MICRO]")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--soak", metavar="SOAK_JSON")
+    mode.add_argument("--server", metavar="SERVER_JSON")
+    p.add_argument("--budget-s", type=float, metavar="SECONDS")
+    args = p.parse_args(argv)
+    gated = args.soak or args.server
+    if gated:
+        if args.paths or args.budget_s is None:
+            p.error("--soak/--server take one JSON path and --budget-s")
+    elif args.budget_s is not None or len(args.paths) not in (2, 3):
+        p.error("the macro gate takes BASELINE CURRENT [MICRO]")
+    return args
+
+
 if __name__ == "__main__":
-    if len(sys.argv) == 5 and sys.argv[1] == "--soak" and sys.argv[3] == "--budget-s":
-        soak_gate(sys.argv[2], float(sys.argv[4]))
-    elif (
-        len(sys.argv) == 5
-        and sys.argv[1] == "--server"
-        and sys.argv[3] == "--budget-s"
-    ):
-        server_gate(sys.argv[2], float(sys.argv[4]))
-    elif len(sys.argv) == 3:
-        main(sys.argv[1], sys.argv[2])
-    elif len(sys.argv) == 4:
-        main(sys.argv[1], sys.argv[2], sys.argv[3])
+    args = parse_args()
+    if args.soak:
+        soak_gate(args.soak, args.budget_s)
+    elif args.server:
+        server_gate(args.server, args.budget_s)
     else:
-        sys.exit(__doc__)
+        main(*args.paths)

@@ -57,13 +57,22 @@ let prop_queue_sorted =
       in
       drain min_int)
 
-let test_queue_pop_ready () =
+(* Every ready payload, drained through [iter_ready], in drain order. *)
+let drain_ready ?seq_below q ~now =
+  let acc = ref [] in
+  let n =
+    Event_queue.iter_ready ?seq_below q ~now ~f:(fun _ p -> acc := p :: !acc)
+  in
+  check_int "count matches the callbacks" (List.length !acc) n;
+  List.rev !acc
+
+let test_queue_iter_ready () =
   let q = Event_queue.create () in
   List.iteri
     (fun i t -> Event_queue.push q ~time:t (i, t))
     [ 10; 30; 10; 20; 10 ];
   (* Only events at or before [now], in (time, push) order. *)
-  let batch = Event_queue.pop_ready q ~now:10 in
+  let batch = drain_ready q ~now:10 in
   Alcotest.(check (list (pair int int)))
     "ready batch, fifo within ties"
     [ (0, 10); (2, 10); (4, 10) ]
@@ -71,31 +80,34 @@ let test_queue_pop_ready () =
   check_int "later events stay queued" 2 (Event_queue.length q);
   Alcotest.(check (list (pair int int)))
     "nothing ready before the next time" []
-    (Event_queue.pop_ready q ~now:15);
+    (drain_ready q ~now:15);
   Alcotest.(check (list (pair int int)))
     "drains across distinct times up to now"
     [ (3, 20); (1, 30) ]
-    (Event_queue.pop_ready q ~now:100);
+    (drain_ready q ~now:100);
   Alcotest.(check (list (pair int int)))
     "empty queue yields nothing" []
-    (Event_queue.pop_ready q ~now:max_int)
+    (drain_ready q ~now:max_int)
 
-let test_queue_pop_ready_budget () =
+let test_queue_iter_ready_fence () =
+  (* [push] numbers entries 0, 1, 2, ...: a [seq_below] fence stops the
+     drain part-way through a same-time batch, and the next drain
+     resumes where it stopped. *)
   let q = Event_queue.create () in
   for i = 0 to 9 do
     Event_queue.push q ~time:5 i
   done;
   Alcotest.(check (list int))
-    "budget caps the batch" [ 0; 1; 2 ]
-    (Event_queue.pop_ready ~max:3 q ~now:5);
+    "fence caps the batch" [ 0; 1; 2 ]
+    (drain_ready ~seq_below:3 q ~now:5);
   Alcotest.(check (list int))
     "next batch resumes in order" [ 3; 4; 5 ]
-    (Event_queue.pop_ready ~max:3 q ~now:5);
+    (drain_ready ~seq_below:6 q ~now:5);
   check_int "remainder still queued" 4 (Event_queue.length q)
 
-let prop_queue_pop_ready_agrees =
+let prop_queue_iter_ready_agrees =
   QCheck.Test.make
-    ~name:"pop_ready(now=max) agrees with repeated pop" ~count:200
+    ~name:"iter_ready(now=max) agrees with repeated pop" ~count:200
     QCheck.(list (int_bound 10000))
     (fun times ->
       let q1 = Event_queue.create () in
@@ -105,7 +117,7 @@ let prop_queue_pop_ready_agrees =
           Event_queue.push q1 ~time:t i;
           Event_queue.push q2 ~time:t i)
         times;
-      let batch = Event_queue.pop_ready q1 ~now:max_int in
+      let batch = drain_ready q1 ~now:max_int in
       let rec drain acc =
         match Event_queue.pop q2 with
         | None -> List.rev acc
@@ -282,10 +294,10 @@ let () =
           Alcotest.test_case "ordering" `Quick test_queue_order;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
-          Alcotest.test_case "pop_ready" `Quick test_queue_pop_ready;
-          Alcotest.test_case "pop_ready budget" `Quick
-            test_queue_pop_ready_budget;
-          QCheck_alcotest.to_alcotest prop_queue_pop_ready_agrees;
+          Alcotest.test_case "iter_ready" `Quick test_queue_iter_ready;
+          Alcotest.test_case "iter_ready fence" `Quick
+            test_queue_iter_ready_fence;
+          QCheck_alcotest.to_alcotest prop_queue_iter_ready_agrees;
         ] );
       ( "sim",
         [

@@ -208,6 +208,44 @@ let churn_10k () =
     (Mbuf.Pool.allocated ())
 
 (* --------------------------------------------------------------- *)
+(* Pools are shared across shards                                   *)
+(* --------------------------------------------------------------- *)
+
+let pools_shared () =
+  (* A cluster and a frame buffer freed while shard 2 runs must be the
+     next hits on shard 0: shards own CPUs, not free lists. *)
+  let tb = Testbed.create ~shards:4 () in
+  let host = tb.Testbed.a.Testbed.stack.Netstack.host in
+  let on shard k = Host.in_proc_on host ~shard ~proc:"pools" Simtime.zero k in
+  ignore (Mbuf.Pool.trim ());
+  (* An odd length no datapath class uses, so its free list starts
+     empty. *)
+  let len = 3331 in
+  let m = Mbuf.get_cluster () and b = Bufpool.get Bufpool.shared len in
+  let checked = ref false in
+  on 2 (fun () ->
+      Mbuf.free m;
+      Bufpool.put Bufpool.shared b;
+      on 0 (fun () ->
+          let mb_hits = Mbuf.Pool.hit_count ()
+          and mb_misses = Mbuf.Pool.miss_count ()
+          and bp_hits = Bufpool.hit_count Bufpool.shared
+          and bp_misses = Bufpool.miss_count Bufpool.shared in
+          Mbuf.free (Mbuf.get_cluster ());
+          Bufpool.put Bufpool.shared (Bufpool.get Bufpool.shared len);
+          Alcotest.(check int) "cluster get is a hit" (mb_hits + 1)
+            (Mbuf.Pool.hit_count ());
+          Alcotest.(check int) "no new mbuf miss" mb_misses
+            (Mbuf.Pool.miss_count ());
+          Alcotest.(check int) "frame get is a hit" (bp_hits + 1)
+            (Bufpool.hit_count Bufpool.shared);
+          Alcotest.(check int) "no new frame miss" bp_misses
+            (Bufpool.miss_count Bufpool.shared);
+          checked := true));
+  Sim.run ~until:(Simtime.ms 1.) tb.Testbed.sim;
+  Alcotest.(check bool) "both shards ran" true !checked
+
+(* --------------------------------------------------------------- *)
 (* 1-shard identity and multi-shard scaling                         *)
 (* --------------------------------------------------------------- *)
 
@@ -297,6 +335,7 @@ let () =
       sec "flowtab" [ qcase flowtab_model; qcase sharded_demux_oracle ];
       sec "hash" [ case "toeplitz spread" hash_spread ];
       sec "churn" [ case "10K open/close across 4 shards" churn_10k ];
+      sec "pools" [ case "free on shard 2, hit on shard 0" pools_shared ];
       sec "identity" [ case "1-shard vs 4-shard shard-0 flow" one_shard_identity ];
       sec "scaling" [ case "8-flow parallel speedup" parallel_scaling ];
     ]
